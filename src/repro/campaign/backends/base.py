@@ -25,11 +25,15 @@ is an iterator of ``(ticket, outcome)`` pairs that blocks while work is
 outstanding and stops when none is; items may be submitted or cancelled
 *between* yields (the scheduler requeues stolen work mid-iteration).
 ``cancel`` is best-effort: ``True`` guarantees the ticket will never be
-yielded; ``False`` means the item is past the point of no return and its
-result will still arrive (the scheduler must tolerate stale results
-either way).  ``capacity`` is the backend's current parallel width --
-the signal the scheduler's sub-root planner and work-stealing rebalance
-key off.
+yielded; ``False`` means a worker has already taken the item and its
+result will still arrive.  Backends with in-flight cancellation (the
+process pool; socket agents, behind the coordinator's discard) stop such
+a search within one ``_CLOCK_STRIDE`` window, so that result arrives
+promptly as a truncated timeout noted
+:data:`repro.mc.explorer.CANCEL_NOTE`.  The scheduler must tolerate
+stale results either way, and never merges a cancelled one.
+``capacity`` is the backend's current parallel width -- the signal the
+scheduler's sub-root planner and work-stealing rebalance key off.
 
 Two lifecycle hooks complete the contract.  ``make_filter`` owns the
 cross-process :class:`repro.mc.shared_filter.SharedVisitedFilter` a
@@ -230,12 +234,14 @@ class WorkItem:
             return self.task.limits
         return self.fuzz.limits
 
-    def run(self) -> Outcome:
+    def run(self, ticket: int | None = None) -> Outcome:
         """Execute the shard; every backend funnels through here.
 
         An item that starts after the campaign deadline has already
         passed reports the budget timeout without searching at all
         (mirroring the serial path's pre-unit deadline check).
+        ``ticket`` (the dispatcher's, where one crosses a pool or wire)
+        only tags the ``shard.run`` trace span.
         """
         deadline = self.limits.deadline
         if deadline is not None and clock.monotonic() >= deadline:
@@ -244,6 +250,7 @@ class WorkItem:
             "shard.run",
             fuzz=self.fuzz is not None,
             entries=0 if self.entries is None else len(self.entries),
+            ticket=ticket,
         ):
             return self._execute()
 
@@ -293,8 +300,8 @@ class ExecutionBackend:
     def outstanding(self) -> int:
         """Items queued or occupying a worker slot right now.
 
-        Counts cancelled-but-unpreemptable items still running (they
-        hold a slot), which scheduler-side bookkeeping cannot see --
+        Counts cancelled items still running (they hold a slot until
+        they stop), which scheduler-side bookkeeping cannot see --
         this is the honest denominator for the work-stealing idle check.
         """
         raise NotImplementedError
@@ -308,7 +315,11 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def cancel(self, ticket: int) -> bool:
-        """Best-effort cancel; ``True`` iff the ticket will never yield."""
+        """Best-effort cancel; ``True`` iff the ticket will never yield.
+
+        On ``False`` the ticket's result still arrives -- truncated and
+        noted ``CANCEL_NOTE`` if the backend could stop it mid-search.
+        """
         raise NotImplementedError
 
     # -- lifecycle hooks ------------------------------------------------

@@ -13,9 +13,11 @@ any other), authenticate with the shared token, and pull pickled
   worker death and **requeues** that worker's in-flight shards at the
   front of the queue (shards are deterministic pure functions, so a
   re-run is indistinguishable from the first run), and
-- discards results for cancelled tickets coordinator-side (workers are
-  never preempted mid-search; the stamped deadline remains the only
-  in-search cancellation, exactly like the process backend).
+- discards results for cancelled tickets coordinator-side, and tells
+  the agent holding a cancelled ticket to stop it (a ``cancel`` frame:
+  the agent posts the ticket to its pool's cancel board, exactly like
+  the process backend), so the worker slot frees within one
+  ``_CLOCK_STRIDE`` window instead of after the whole dead shard.
 
 Workers are launched out-of-band -- the point of the backend is that the
 launch mechanism is trivial::
@@ -270,8 +272,9 @@ class SocketClusterBackend(ExecutionBackend):
         )
 
     def outstanding(self) -> int:
-        # Discarded-but-assigned shards still occupy a worker slot (no
-        # preemption), so they count against idle capacity.
+        # Discarded-but-assigned shards still occupy a worker slot until
+        # their agent's probe stops them, so they count against idle
+        # capacity.
         return len(self._queue) + len(self._assigned)
 
     # ------------------------------------------------------------------
@@ -285,10 +288,17 @@ class SocketClusterBackend(ExecutionBackend):
         return ticket
 
     def cancel(self, ticket: int) -> bool:
-        if ticket in self._assigned:
-            # The worker is never preempted; its result is dropped on
-            # arrival, so the ticket is guaranteed not to be yielded.
-            self._discarded.add(ticket)
+        conn = self._assigned.get(ticket)
+        if conn is not None:
+            # The result is dropped on arrival, so the ticket is
+            # guaranteed not to be yielded; the cancel frame makes the
+            # agent stop the search and send that result early.
+            if ticket not in self._discarded:
+                self._discarded.add(ticket)
+                try:
+                    send_frame(conn.sock, "cancel", {"ticket": ticket})
+                except WireError:
+                    self._drop_worker(conn)
             return True
         if ticket in self._items:
             self._queue.remove(ticket)

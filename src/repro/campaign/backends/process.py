@@ -16,6 +16,14 @@ still draw a bare-fingerprint shard: it answers
 :class:`~repro.campaign.backends.specs.SpecMiss` and the shard is
 resubmitted under the same ticket with the spec attached (counted in
 ``spec_misses``; one extra round-trip, no result ever lost).
+
+In-flight cancellation: the pool is built around one cancel board (see
+:mod:`repro.campaign.backends.specs`).  :meth:`ProcessPoolBackend.cancel`
+on a future the pool has already taken still returns ``False`` -- the
+shard's result will arrive -- but it also posts the ticket to the board,
+so the child stops within one ``_CLOCK_STRIDE`` window (128 expansions)
+and the result arrives at once, truncated and noted
+:data:`repro.mc.explorer.CANCEL_NOTE`.
 """
 
 from __future__ import annotations
@@ -33,8 +41,11 @@ from repro.campaign.backends.base import (
 from repro.campaign.backends.specs import (
     ShardEnvelope,
     SpecMiss,
+    attach_cancel_board,
+    cancel_board,
     execute_envelope,
     make_envelope,
+    post_cancel,
 )
 from repro import obs
 from repro.obs.recorder import TracedOutcome
@@ -48,7 +59,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None):
         self._max_workers = resolve_workers(max_workers)
-        self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
+        self._board = cancel_board()
+        self._pool = ProcessPoolExecutor(
+            max_workers=self._max_workers,
+            initializer=attach_cancel_board,
+            initargs=(self._board,),
+        )
         self._futures: dict[int, Future] = {}
         self._envelopes: dict[int, ShardEnvelope] = {}
         self._specs: dict = {}  # fingerprint -> spec (for miss retries)
@@ -63,7 +79,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def outstanding(self) -> int:
         # Includes cancel()ed-but-already-running futures: they hold a
-        # pool slot until they finish, idle capacity must not count them.
+        # pool slot until their probe stops them, idle capacity must not
+        # count them.
         return len(self._futures)
 
     def _wrap(self, item: WorkItem) -> ShardEnvelope:
@@ -84,7 +101,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._next_ticket += 1
         env = self._wrap(item)
         self._envelopes[ticket] = env
-        self._futures[ticket] = self._pool.submit(execute_envelope, env)
+        self._futures[ticket] = self._pool.submit(execute_envelope, env, ticket)
         return ticket
 
     def cancel(self, ticket: int) -> bool:
@@ -95,7 +112,10 @@ class ProcessPoolBackend(ExecutionBackend):
             del self._futures[ticket]
             self._envelopes.pop(ticket, None)
             return True
-        return False  # already running; its (stale) result will arrive
+        # Already taken by the pool: stop the child at its next probe;
+        # its truncated (CANCEL_NOTE) result arrives shortly.
+        post_cancel(self._board, ticket)
+        return False
 
     def as_completed(self) -> Iterator[tuple[int, Outcome]]:
         while self._futures:
@@ -137,7 +157,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     )
                     self._envelopes[ticket] = env
                     self._futures[ticket] = self._pool.submit(
-                        execute_envelope, env
+                        execute_envelope, env, ticket
                     )
                     continue
                 self._envelopes.pop(ticket, None)

@@ -18,6 +18,20 @@ thereafter.  Executors keep a per-process cache
 answers :class:`SpecMiss` and the dispatching side re-sends with the
 spec attached -- a one-round-trip degradation, never an error.
 
+The same entry point carries in-flight cancellation.  A dispatcher
+that keeps a *cancel board* (:func:`cancel_board`: a small shared ring
+of int64 ticket slots handed to each pool child by the pool's
+initializer, :func:`attach_cancel_board`) cancels a running shard by
+writing its ticket into slot ``ticket % len(board)``
+(:func:`post_cancel`).  :func:`execute_envelope` installs the probe
+``board[ticket % len(board)] == ticket`` for the shard it runs, and the
+search engine reads it every ``_CLOCK_STRIDE`` expansions
+(:func:`repro.mc.explorer.install_cancel_probe`), returning a truncated
+timeout noted :data:`repro.mc.explorer.CANCEL_NOTE`.  A slot only ever
+holds a ticket that was cancelled, so a ring collision can only *hide* a
+cancel (that shard runs to completion, as if never cancelled), never
+stop a live shard.
+
 Soundness: the fingerprint is only a *cache key*; the spec bytes a
 worker rehydrates with were pickled from the same task object the
 scheduler planned, so ``join_spec(spec, roots, limits)`` rebuilds a
@@ -27,6 +41,7 @@ items (the campaign bit-identity contract is untouched).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass, replace
@@ -152,6 +167,33 @@ def make_envelope(
     )
 
 
+#: Slots in a cancel board.  Tickets collide only when two shards whose
+#: tickets differ by a multiple of this are cancelled while both run.
+BOARD_SLOTS = 1024
+
+#: This process's cancel board (set in pool children by
+#: :func:`attach_cancel_board`; ``None`` everywhere else).
+_BOARD = None
+
+
+def cancel_board():
+    """A fresh shared ring of :data:`BOARD_SLOTS` int64 slots, all -1."""
+    board = multiprocessing.RawArray("q", BOARD_SLOTS)
+    board[:] = [-1] * BOARD_SLOTS
+    return board
+
+
+def attach_cancel_board(board) -> None:
+    """Pool initializer: remember the dispatcher's cancel board here."""
+    global _BOARD
+    _BOARD = board
+
+
+def post_cancel(board, ticket: int) -> None:
+    """Ask the pool child running ``ticket`` to stop at its next probe."""
+    board[ticket % len(board)] = ticket
+
+
 #: Per-process spec cache: fingerprint -> spec task.  Lives in whatever
 #: process runs :func:`execute_envelope` (pool children, worker-agent
 #: children); bounded by the number of distinct unit specs a process
@@ -159,7 +201,7 @@ def make_envelope(
 _SPECS: dict[int, "VerificationTask"] = {}
 
 
-def execute_envelope(env: ShardEnvelope):
+def execute_envelope(env: ShardEnvelope, ticket: int | None = None):
     """Rehydrate and run one shard; the pools' pickle-by-reference entry.
 
     Returns the shard's outcome, or :class:`SpecMiss` when the envelope
@@ -169,7 +211,28 @@ def execute_envelope(env: ShardEnvelope):
     the shard recorded -- the dispatching side unwraps *before* any
     result inspection, so the spec-miss retry and every verdict path see
     exactly what an untraced run would.
+
+    In a pool child with a cancel board, ``ticket`` arms the shard's
+    cancel probe (see the module docs); a shard already cancelled when
+    it starts returns its empty cancelled outcome without running.
     """
+    board = _BOARD
+    if board is None or ticket is None:
+        return _execute(env, ticket)
+    from repro.mc.explorer import CANCEL_NOTE, install_cancel_probe
+    from repro.mc.result import TIMEOUT, Outcome, SearchStats
+
+    slot = ticket % len(board)
+    if board[slot] == ticket:
+        return Outcome(TIMEOUT, 0.0, SearchStats(), note=CANCEL_NOTE)
+    previous = install_cancel_probe(lambda: board[slot] == ticket)
+    try:
+        return _execute(env, ticket)
+    finally:
+        install_cancel_probe(previous)
+
+
+def _execute(env: ShardEnvelope, ticket: int | None):
     item = env.item
     if env.spec_fp is not None:
         spec = env.spec
@@ -181,11 +244,11 @@ def execute_envelope(env: ShardEnvelope):
                 return SpecMiss(env.spec_fp)
         item = replace(item, task=join_spec(spec, env.roots, env.limits))
     if not env.trace:
-        return item.run()
+        return item.run(ticket)
     recorder = Recorder(worker=f"pid{os.getpid()}")
     previous = obs.install(recorder)
     try:
-        outcome = item.run()
+        outcome = item.run(ticket)
     finally:
         obs.install(previous)
     return TracedOutcome(outcome, recorder.batch())

@@ -35,6 +35,9 @@ frame                   direction / meaning
                         (see :func:`repro.obs.live.snapshot_to_json`) --
                         the live campaign view ``python -m repro.obs.watch``
                         renders.  Observability only, like ``spans``
+``cancel``              coordinator -> worker: ``{ticket}`` -- stop that
+                        shard at its next cancel probe; its (discarded)
+                        result then comes back early and frees the slot
 ``shutdown``            coordinator -> worker: campaign over, exit cleanly
 ======================  =======================================================
 
@@ -45,7 +48,7 @@ A hello carrying ``role: "observer"`` authenticates a *read-only*
 peer: it receives ``status`` frames and the ``shutdown``, is never
 assigned work, and contributes zero capacity -- everything it sees is
 JSON, so an observer client needs no pickle trust in the coordinator.
-Control frames (hello/welcome/heartbeat/shutdown/error) are JSON and
+Control frames (hello/welcome/heartbeat/cancel/shutdown/error) are JSON and
 task/result frames are pickle, and the coordinator refuses to decode
 pickle from a connection that has not authenticated -- unpickling
 grants code execution, so no untrusted byte ever reaches
@@ -93,7 +96,7 @@ _FMT_PICKLE = 0x50  # 'P'
 #: before trust is established, plus plain-data control traffic (which
 #: includes everything an observer connection ever sees).
 _JSON_KINDS = frozenset(
-    {"hello", "welcome", "heartbeat", "shutdown", "error",
+    {"hello", "welcome", "heartbeat", "cancel", "shutdown", "error",
      "ping", "pong", "status"}
 )
 

@@ -101,7 +101,13 @@ baseline the merged results are tested against.
 **Short-circuiting.**  A unit is decided as soon as the serial-order scan
 hits a non-proof with every serially-earlier root proved; the remaining
 (serially-later) shards are cancelled.  This mirrors the serial engine,
-which would never have explored them.
+which would never have explored them.  A root that settles as a
+non-proof cancels the shards of every serially-later root (lower list
+index) at once, even while serially-earlier roots still block the unit:
+the merge can never reach them.  Cancelled shards already running stop
+at their next cancel probe (see
+:mod:`repro.campaign.backends.specs`); their truncated outcomes, noted
+:data:`repro.mc.explorer.CANCEL_NOTE`, are dropped as stale.
 
 **Shared visited filters.**  A unit whose task opts into
 ``shared_visited`` asks the *backend* for one cross-process fingerprint
@@ -158,7 +164,7 @@ from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.log import CampaignLog
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.instruction import Opcode
-from repro.mc.explorer import Explorer, Root, RootExpansion
+from repro.mc.explorer import CANCEL_NOTE, Explorer, Root, RootExpansion
 from repro.mc.result import PROVED, Outcome, SearchStats
 from repro.mc.shared_filter import suggest_capacity
 
@@ -536,6 +542,9 @@ class _UnitState:
         self.slots = slots
         self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
+        #: Highest root position already settled as a non-proof (-1:
+        #: none); every root below it is serially dead.
+        self.cutoff = -1
         #: Content fingerprint of the unit's task spec (the task minus
         #: roots and limits); stamped on every shard so hot-worker
         #: backends ship the spec once per worker.
@@ -733,7 +742,8 @@ def _run_serial(
             with obs.span("unit", unit=key):
                 outcome = verify(_stamp_deadline(unit.task, deadline))
         obs.event(
-            "unit.done", unit=key, kind=outcome.kind, elapsed=outcome.elapsed
+            "unit.done", unit=key, kind=outcome.kind, elapsed=outcome.elapsed,
+            states=outcome.stats.states,
         )
         outcomes.append(outcome)
         sink.offer(index, outcome)
@@ -874,12 +884,16 @@ def _run_sharded(
     min_batches = max(1, math.ceil(2 * capacity / max(1, n_split_roots)))
     #: ticket -> (unit state, root position, batch position, steal index)
     owner: dict[int, tuple[_UnitState, int, int | None, int | None]] = {}
+    #: ticket -> (unit label, root position), kept past cancellation so
+    #: stale results still name what they wasted (trace tags only)
+    labels: dict[int, tuple[str, int]] = {}
     submitted: dict[int, float] = {}  # ticket -> submit instant
     predictions: dict[int, int] = {}  # ticket -> raw predicted states
 
     def cancel_ticket(ticket: int) -> None:
+        if owner.pop(ticket, None) is None:
+            return  # already delivered or cancelled
         backend.cancel(ticket)
-        owner.pop(ticket, None)
         submitted.pop(ticket, None)
         predictions.pop(ticket, None)
 
@@ -896,6 +910,7 @@ def _run_sharded(
             unit="/".join(state.unit.key),
             kind=merged.kind,
             elapsed=merged.elapsed,
+            states=merged.stats.states,
         )
         for ticket in state.tickets:
             cancel_ticket(ticket)
@@ -904,17 +919,27 @@ def _run_sharded(
         state.release_filter()
         return True
 
-    def cancel_if_decided(slot: _RootSlot) -> None:
-        """Cancel sub-shards a decided root no longer needs.
+    def cancel_if_decided(state: _UnitState, root_pos: int) -> None:
+        """Cancel shards a settled root leaves serially dead.
 
-        A root settled by a serially-early non-proof sub-shard leaves its
-        serially-later siblings dead even while the *unit* is still
-        blocked on other roots; the merge already ignores them, so stop
-        paying for them.
+        Two levels, even while the *unit* is still blocked on other
+        roots: a split root settled by a serially-early sub-shard no
+        longer needs its other sub-shards, and a root settled as a
+        non-proof leaves every serially-later root (lower position)
+        dead.  The merge already ignores both, so stop paying for them.
         """
-        if slot.expansion is not None and slot.outcome() is not None:
+        slot = state.slots[root_pos]
+        settled = slot.outcome()
+        if settled is None:
+            return
+        if slot.expansion is not None:
             for ticket in slot.tickets:
                 cancel_ticket(ticket)
+        if settled.kind != PROVED and root_pos > state.cutoff:
+            state.cutoff = root_pos
+            for dead in state.slots[:root_pos]:
+                for ticket in dead.tickets:
+                    cancel_ticket(ticket)
 
     def submit(
         state: _UnitState,
@@ -936,14 +961,14 @@ def _run_sharded(
             predicted=predicted,
         )
         owner[ticket] = (state, root_pos, sub_pos, steal_idx)
+        labels[ticket] = ("/".join(state.unit.key), root_pos)
         submitted[ticket] = clock.monotonic()
         if predicted:
             predictions[ticket] = predicted
         state.tickets.append(ticket)
-        if sub_pos is not None:
-            slot.tickets.append(ticket)
-            if steal_idx is None:
-                slot.sub_tickets[sub_pos] = ticket
+        slot.tickets.append(ticket)
+        if sub_pos is not None and steal_idx is None:
+            slot.sub_tickets[sub_pos] = ticket
         return ticket
 
     try:
@@ -980,11 +1005,14 @@ def _run_sharded(
             # settles in-process with a non-proof kills its siblings
             # before any of their planning or submission work is paid.
             for root_pos in reversed(range(len(state.slots))):
-                if try_finalize(state):
-                    break  # serially-earlier slots decided the unit
+                if try_finalize(state) or root_pos < state.cutoff:
+                    break  # serially-earlier slots decided the rest
                 slot = state.slots[root_pos]
                 if split[state.index] and slot.plan_subroot():
-                    continue  # settled in-process by the expansion
+                    # Settled in-process by the expansion; a non-proof
+                    # makes every root still unplanned serially dead.
+                    cancel_if_decided(state, root_pos)
+                    continue
                 if slot.expansion is None:
                     submit(
                         state,
@@ -1054,6 +1082,17 @@ def _run_sharded(
                 sink.offer(state.index, state.final)
         for ticket, outcome in backend.as_completed():
             info = owner.pop(ticket, None)
+            unit_label, root_label = labels.pop(ticket)
+            cancelled = (
+                isinstance(outcome, Outcome) and outcome.note == CANCEL_NOTE
+            )
+            if cancelled and info is not None:
+                # Only cancel_ticket stops a shard, and it drops the
+                # ticket first: a merge must never see a truncated result.
+                raise RuntimeError(
+                    f"shard {ticket} of unit {unit_label} returned a "
+                    "cancelled outcome the scheduler never cancelled"
+                )
             submitted.pop(ticket, None)
             predicted = predictions.pop(ticket, None)
             if (
@@ -1081,41 +1120,51 @@ def _run_sharded(
                 _CALIBRATION.observe(
                     predicted, outcome.stats.states, outcome.elapsed
                 )
+            if tracker is not None and isinstance(outcome, Outcome):
+                tracker.shard_done(outcome.stats.states, outcome.elapsed)
+            # Stale results (cancelled or superseded: no owner) and those
+            # of decided units are dropped; ``used`` tags a result kept
+            # for the merge.  A kept root can still turn serially dead
+            # later, so per-unit waste is read against the merged
+            # ``states`` of the unit's ``unit.done`` event.
+            live = info is not None and info[0].final is None
+            used = False
+            if live:
+                state, root_pos, sub_pos, steal_idx = info
+                slot = state.slots[root_pos]
+                if isinstance(outcome, ShardFailure):
+                    if _handle_shard_failure(
+                        state, slot, sub_pos, steal_idx, outcome,
+                        cancel_ticket,
+                    ):
+                        continue
+                    raise RuntimeError(
+                        "campaign shard for unit "
+                        f"{state.unit.experiment}/{unit_label} "
+                        f"failed: {outcome.message}"
+                    )
+                used = _record_outcome(
+                    slot, sub_pos, steal_idx, outcome, cancel_ticket,
+                    registry,
+                )
             if isinstance(outcome, Outcome):
                 obs.event(
                     "shard.done",
                     ticket=ticket,
+                    unit=unit_label,
+                    root=root_label,
                     kind=outcome.kind,
                     states=outcome.stats.states,
                     elapsed=outcome.elapsed,
+                    used=used,
+                    cancelled=cancelled,
                 )
-                if tracker is not None:
-                    tracker.shard_done(
-                        outcome.stats.states, outcome.elapsed
-                    )
-            if info is None:
-                continue  # cancelled or superseded: a stale result
-            state, root_pos, sub_pos, steal_idx = info
-            if state.final is not None:
+            if not live:
                 continue
-            slot = state.slots[root_pos]
-            if isinstance(outcome, ShardFailure):
-                if _handle_shard_failure(
-                    state, slot, sub_pos, steal_idx, outcome, cancel_ticket
-                ):
-                    continue
-                raise RuntimeError(
-                    "campaign shard for unit "
-                    f"{state.unit.experiment}/{'/'.join(state.unit.key)} "
-                    f"failed: {outcome.message}"
-                )
-            _record_outcome(
-                slot, sub_pos, steal_idx, outcome, cancel_ticket, registry
-            )
             if try_finalize(state):
                 sink.offer(state.index, state.final)
             else:
-                cancel_if_decided(slot)
+                cancel_if_decided(state, root_pos)
             if rebalance and backend.capacity() > 1:
                 _maybe_steal(
                     backend, owner, submitted, predictions, deadline,
@@ -1186,14 +1235,19 @@ def _record_outcome(
     outcome: Outcome,
     cancel_ticket,
     registry: MetricsRegistry,
-) -> None:
-    """Fold one shard outcome into its slot (original or steal racer)."""
+) -> bool:
+    """Fold one shard outcome into its slot (original or steal racer).
+
+    ``False`` when the outcome was not needed: its slice or root was
+    already settled, or its steal group already torn down.
+    """
     if sub_pos is None:
-        if slot.whole is None:
-            slot.whole = outcome
-        return
+        if slot.whole is not None:
+            return False
+        slot.whole = outcome
+        return True
     if slot.sub_outcomes[sub_pos] is not None:
-        return  # the other racer already settled this slice
+        return False  # the other racer already settled this slice
     if steal_idx is None:
         # The original whole-slice shard won (or was never raced).
         slot.sub_outcomes[sub_pos] = outcome
@@ -1201,14 +1255,14 @@ def _record_outcome(
         if group is not None:
             for ticket in group.tickets:
                 cancel_ticket(ticket)
-        return
+        return True
     group = slot.groups.get(sub_pos)
     if group is None:
-        return  # group torn down by the original finishing first
+        return False  # group torn down by the original finishing first
     group.outcomes[steal_idx] = outcome
     composed = group.outcome()
     if composed is None:
-        return
+        return True
     slot.sub_outcomes[sub_pos] = composed
     del slot.groups[sub_pos]
     registry.counter("campaign.steal_won").inc()
@@ -1216,6 +1270,7 @@ def _record_outcome(
     cancel_ticket(slot.sub_tickets[sub_pos])  # the out-raced original
     for ticket in group.tickets:
         cancel_ticket(ticket)
+    return True
 
 
 def _maybe_steal(
@@ -1341,7 +1396,7 @@ def _maybe_steal(
     if try_finalize(state):
         sink.offer(state.index, state.final)
     else:
-        cancel_if_decided(slot)
+        cancel_if_decided(state, root_pos)
 
 
 def verify_sharded(

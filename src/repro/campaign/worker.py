@@ -6,7 +6,10 @@ authenticates with the shared token (``--token`` or, preferably, the
 ``ps``), advertises ``--slots`` worker slots, and then loops: receive
 pickled shards, run each in a local ``ProcessPoolExecutor`` child --
 *never* on the agent thread, so heartbeats keep flowing while a search
-computes -- and stream the outcomes back.
+computes -- and stream the outcomes back.  A ``cancel`` frame posts its
+ticket to the pool's cancel board
+(:mod:`repro.campaign.backends.specs`), so a shard the coordinator has
+dropped stops within one ``_CLOCK_STRIDE`` window and frees its slot.
 
 Launching one agent per host (or per core) is deliberately a one-liner::
 
@@ -40,7 +43,10 @@ from dataclasses import replace
 from repro.campaign.backends.specs import (
     ShardEnvelope,
     SpecMiss,
+    attach_cancel_board,
+    cancel_board,
     execute_envelope,
+    post_cancel,
 )
 from repro.obs import clock
 from repro.obs.recorder import TracedOutcome
@@ -78,6 +84,12 @@ def _die_with_parent() -> None:
         pass
 
 
+def _init_child(board) -> None:
+    """Pool-child initializer: die with the agent, share its cancel board."""
+    _die_with_parent()
+    attach_cancel_board(board)
+
+
 def _connect_with_retry(addr: tuple[str, int], retry_s: float) -> socket.socket:
     """Dial the coordinator, retrying inside the window (races startup)."""
     deadline = clock.monotonic() + retry_s
@@ -113,8 +125,12 @@ def _handshake(sock: socket.socket, token: str, slots: int, label: str) -> None:
         raise SystemExit(f"worker: unexpected handshake reply {kind!r}")
 
 
-def _serve(sock: socket.socket, pool: ProcessPoolExecutor) -> None:
-    """The agent loop: pull tasks, push results, heartbeat throughout."""
+def _serve(sock: socket.socket, pool: ProcessPoolExecutor, board) -> None:
+    """The agent loop: pull tasks, push results, heartbeat throughout.
+
+    ``board`` is the cancel board ``pool``'s children were initialized
+    with.
+    """
     sock.setblocking(False)
     buffer = bytearray()
     running: dict[int, Future] = {}
@@ -147,7 +163,7 @@ def _serve(sock: socket.socket, pool: ProcessPoolExecutor) -> None:
                 if env is not None and spec is not None:
                     env = replace(env, spec=spec)
                     envelopes[ticket] = env
-                    running[ticket] = pool.submit(execute_envelope, env)
+                    running[ticket] = pool.submit(execute_envelope, env, ticket)
                 else:  # should be unreachable: the coordinator ships first
                     send_frame(
                         sock,
@@ -194,7 +210,11 @@ def _serve(sock: socket.socket, pool: ProcessPoolExecutor) -> None:
                 if env.spec_fp is not None and env.spec is not None:
                     specs.setdefault(env.spec_fp, env.spec)
                 envelopes[ticket] = env
-                running[ticket] = pool.submit(execute_envelope, env)
+                running[ticket] = pool.submit(execute_envelope, env, ticket)
+            elif kind == "cancel":
+                ticket = payload.get("ticket")
+                if isinstance(ticket, int) and ticket in running:
+                    post_cancel(board, ticket)
             elif kind == "ping":
                 # RTT probe: echo the payload verbatim so the
                 # coordinator can subtract its own send instant.
@@ -238,13 +258,14 @@ def main(argv: list[str] | None = None) -> int:
     # close() retires locally-spawned agents.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     sock = _connect_with_retry(parse_hostport(args.connect), args.retry)
+    board = cancel_board()
     pool = ProcessPoolExecutor(
-        max_workers=args.slots, initializer=_die_with_parent
+        max_workers=args.slots, initializer=_init_child, initargs=(board,)
     )
     try:
         _handshake(sock, token, args.slots, label)
         try:
-            _serve(sock, pool)
+            _serve(sock, pool, board)
         except WireError:
             pass  # coordinator vanished mid-campaign: exit cleanly
     finally:

@@ -79,7 +79,7 @@ from repro.mc.result import (
     SearchStats,
 )
 
-#: How many expansions between wall-clock checks.
+#: How many expansions between wall-clock (and cancel-probe) checks.
 _CLOCK_STRIDE = 128
 
 #: How many expanded states one ``engine.wave`` trace span covers.  Only
@@ -87,6 +87,28 @@ _CLOCK_STRIDE = 128
 #: expansion otherwise), and wide enough that the two clock reads per
 #: span disappear against ~1024 product steps.
 _WAVE_STRIDE = 1024
+
+#: ``note`` of the outcome a search returns when its cancel probe fired:
+#: a truncated timeout whose stats are the states it actually executed.
+#: The campaign never merges one (it only cancels work it has dropped).
+CANCEL_NOTE = "cancelled mid-search"
+
+#: The running shard's cancel probe: a zero-argument callable that turns
+#: true once the shard's campaign has cancelled it, or ``None`` -- always
+#: ``None`` outside a worker-pool child, so the serial path never pays
+#: for it (see :func:`repro.campaign.backends.specs.execute_envelope`).
+_CANCEL_PROBE = None
+
+
+def install_cancel_probe(probe):
+    """Make ``probe`` this process's cancel probe; returns the previous one.
+
+    Every :class:`_Budget` built while it is installed (every search the
+    shard runs) reads it once per ``_CLOCK_STRIDE`` expansions.
+    """
+    global _CANCEL_PROBE
+    previous, _CANCEL_PROBE = _CANCEL_PROBE, probe
+    return previous
 
 
 @dataclass(frozen=True)
@@ -171,12 +193,20 @@ class RootExpansion:
 
 
 class _Budget:
-    """Tracks elapsed time / state count against the limits."""
+    """Tracks elapsed time / state count / cancellation against the limits.
+
+    ``note`` is :data:`CANCEL_NOTE` once the cancel probe captured at
+    construction has fired, ``None`` otherwise; searches stamp it on
+    their timeout outcome.
+    """
 
     def __init__(self, limits: SearchLimits):
         self.limits = limits
         self.start = clock.monotonic()
         self._tick = 0
+        self._probe = _CANCEL_PROBE
+        self._strided = limits.timeout_s is not None or self._probe is not None
+        self.note: str | None = None
 
     def elapsed(self) -> float:
         return clock.monotonic() - self.start
@@ -192,14 +222,19 @@ class _Budget:
         # scheduler's pre-run check (``scheduler._run_shard``).
         if limits.deadline is not None and clock.monotonic() >= limits.deadline:
             return True
-        if limits.timeout_s is None:
+        if not self._strided:
             return False
         # The relative per-task budget keeps the strided check: it is not
         # shared with anyone, so overrunning it by a tick window is benign.
+        # So does the cancel probe: a cancelled shard's result is dropped.
         self._tick += 1
         if self._tick % _CLOCK_STRIDE:
             return False
-        return clock.monotonic() - self.start > limits.timeout_s
+        if self._probe is not None and self._probe():
+            self.note = CANCEL_NOTE
+            return True
+        timeout_s = limits.timeout_s
+        return timeout_s is not None and clock.monotonic() - self.start > timeout_s
 
 
 class Explorer:
@@ -605,7 +640,10 @@ class Explorer:
                     states, transitions, pruned, max_depth, prune_reasons,
                     0 if vfilter is None else vfilter.dropped,
                 )
-                return Outcome(kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats)
+                return Outcome(
+                    kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats,
+                    note=budget.note,
+                )
             if snap is not current:
                 restore(snap)
             requests = fetch_requests()
@@ -727,7 +765,10 @@ class Explorer:
                 stats = SearchStats(
                     states, transitions, pruned, max_depth, prune_reasons, 0
                 )
-                return Outcome(kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats)
+                return Outcome(
+                    kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats,
+                    note=budget.note,
+                )
             node_key, requests = expansion_key(state, env)
             summary = memo_get(node_key)
             if summary is None:
