@@ -220,7 +220,6 @@ def test_engine_matrix_fig2_rob_cell(scale, rob_size, monkeypatch):
     ``vector_vs_object`` ratio is the headline number the vectorization
     work is gated on (the ROADMAP's serial states/s goal).
     """
-    pytest.importorskip("numpy")
     task = fig2.point_task(fig2.PANELS[0], "rob", rob_size, scale)
 
     legs = {}

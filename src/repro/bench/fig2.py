@@ -183,9 +183,10 @@ def run(
     """Run both panels; returns ``results[panel][structure]``.
 
     ``n_workers`` fans the sweep grid over the campaign scheduler
-    (``1`` = the historical serial path); most points have one or two
-    quantifier roots, so parallel speedups here come from sub-root
-    sharding (``subroot="auto"``).
+    (``1`` = the historical serial path).  Points ship as whole-unit
+    shards, except a point predicted to cost more than ``1/n_workers``
+    of the grid (the ROB-8 points from four workers up): with one or two
+    quantifier roots it shards below the root (``subroot="auto"``).
     """
     grid = units(
         scale,

@@ -20,6 +20,26 @@ hosts).  A shard's outcome is a pure function of its picklable
 :class:`repro.campaign.backends.WorkItem`, so merged results are
 bit-identical across backends; only wall-clock moves.
 
+**Whole-unit dispatch.**  A grid of many small cells (Table 2: ten
+cells on two workers) already fills the backend at unit granularity;
+splitting it further only pays per-shard cold engines and speculative
+sibling roots.  So a unit ships as one *whole-unit shard* -- a
+``WorkItem`` carrying the unit's task with every root and no frontier
+entries, which runs :func:`repro.core.verifier.verify`, the serial path
+itself: one warm engine across the unit's roots, stopping at the first
+non-proof root, bit-identical to serial by construction -- when all of
+these hold: the campaign has at least ``capacity`` units, ``subroot``
+is not ``"always"``, the unit is not ``shared_visited``, and the unit's
+cost-model prediction (:func:`_predicted_states`) is at most
+``1/capacity`` of the campaign total.  Every other unit keeps the root
+and sub-root planning below (the Fig. 2 ROB-8 points, 43% of the Fig. 2
+grid's predicted cost each, still shard below the root on four
+workers).  Budget note: a whole unit gets the task's ``timeout_s``
+once, across all of its roots, exactly as on the serial path, whereas
+root shards each get the full ``timeout_s``.  Whole-unit shards tag
+their ``shard.submit``/``shard.done`` events ``root=None`` and
+``roots=<n>``.
+
 **Sub-root sharding.**  Root sharding cannot split a workload dominated
 by a *single* root's subtree (the Fig. 2 ROB sweep points).  Below the
 root the same independence argument recurses one level: the first
@@ -164,7 +184,7 @@ from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.log import CampaignLog
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.instruction import Opcode
-from repro.mc.explorer import CANCEL_NOTE, Explorer, Root, RootExpansion
+from repro.mc.explorer import CANCEL_NOTE, Explorer, RootExpansion
 from repro.mc.result import PROVED, Outcome, SearchStats
 from repro.mc.shared_filter import suggest_capacity
 
@@ -180,7 +200,8 @@ __all__ = [
 ]
 
 #: Valid ``subroot`` modes: split below the root when a unit has fewer
-#: roots than the backend has capacity / always / never.
+#: roots than the backend has capacity / always (no unit ships whole) /
+#: never.
 SUBROOT_MODES = ("auto", "always", "never")
 
 
@@ -460,12 +481,12 @@ class _RootSlot:
     A slot is either a *whole-root* shard (one ticket, the historical
     granularity) or a *split* root (an in-process first-cycle expansion
     plus one seeded ticket per surviving child, some of which may be
-    re-split again by the work-stealing rebalance).
+    re-split again by the work-stealing rebalance).  A whole-unit shard
+    is the unit's only slot, whose task keeps every root.
     """
 
-    def __init__(self, root: Root, subtask: VerificationTask):
-        self.root = root
-        self.subtask = subtask  # single-root, deadline-stamped
+    def __init__(self, subtask: VerificationTask):
+        self.subtask = subtask  # deadline-stamped; single-root unless whole
         self.expansion: RootExpansion | None = None
         #: Contiguous ``[start, end)`` slices of ``expansion.entries``,
         #: one per dispatched batch; ``sub_outcomes`` / ``sub_tickets``
@@ -534,12 +555,25 @@ class _RootSlot:
 
 
 class _UnitState:
-    """Book-keeping for one in-flight sharded unit."""
+    """Book-keeping for one in-flight sharded unit.
 
-    def __init__(self, index: int, unit: CampaignUnit, slots: list[_RootSlot]):
+    ``whole`` marks a unit shipped as one whole-unit shard (a single
+    slot running every root); ``n_roots`` is its task's root count.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        unit: CampaignUnit,
+        slots: list[_RootSlot],
+        n_roots: int,
+        whole: bool,
+    ):
         self.index = index
         self.unit = unit
         self.slots = slots
+        self.n_roots = n_roots
+        self.whole = whole
         self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
         #: Highest root position already settled as a non-proof (-1:
@@ -653,11 +687,17 @@ def run_campaign(
     open for the caller to reuse.  Merged outcomes are bit-identical
     across backends (see the module docstring).
 
-    ``subroot`` controls sharding *below* the root: ``"auto"`` splits a
-    unit's roots into per-first-choice subtrees when the unit has fewer
-    roots than the backend has capacity (single-root workloads root
-    sharding cannot touch), ``"always"`` forces the split (the CI
-    determinism smoke), ``"never"`` keeps the root granularity.
+    Units of a campaign with at least as many units as the backend has
+    capacity ship as whole-unit shards (one ``verify`` per unit on a
+    worker) unless one would hold more than ``1/capacity`` of the
+    predicted cost or opts into ``shared_visited``; see "Whole-unit
+    dispatch" in the module docstring.  ``subroot`` controls sharding
+    of the remaining units *below* the root: ``"auto"`` splits a unit's
+    roots into per-first-choice subtrees when the unit has fewer roots
+    than the backend has capacity (single-root workloads root sharding
+    cannot touch), ``"always"`` forces the split on every unit, whole
+    units included (the CI determinism smoke), ``"never"`` keeps the
+    root granularity.
     ``rebalance`` enables work-stealing of dominant sub-root slices into
     depth-2 shards when capacity idles (bit-identical either way).
     ``budget_s`` is a shared wall-clock budget; units it cuts off report
@@ -803,6 +843,31 @@ def _predicted_states(
     return max(1, n_roots) * width**depth
 
 
+def _whole_units(
+    units: Sequence[CampaignUnit],
+    unit_roots: Sequence[list],
+    costs: Sequence[int],
+    capacity: int,
+    subroot: str,
+) -> list[bool]:
+    """Which units ship as one whole-unit shard (see the module docs).
+
+    A campaign with at least ``capacity`` units fills the backend at
+    unit granularity, so a unit ships whole unless ``subroot="always"``
+    forces splitting, it opts into ``shared_visited``, or its predicted
+    cost exceeds ``1/capacity`` of the campaign's: such a unit would be
+    the campaign's long pole, and root or sub-root shards spread it.
+    Root-less units settle in-process without a shard either way.
+    """
+    if len(units) < capacity or subroot == "always":
+        return [False] * len(units)
+    total = sum(costs)
+    return [
+        bool(roots) and not unit.task.shared_visited and cost * capacity <= total
+        for unit, roots, cost in zip(units, unit_roots, costs)
+    ]
+
+
 def _predicted_subtree(width: int, entry) -> int:
     """Predicted size of a seeded slice's remaining subtree.
 
@@ -832,32 +897,43 @@ def _run_sharded(
 ) -> list[Outcome]:
     for unit in units:
         _check_picklable(unit)
+    unit_roots = [unit.task.build_roots() for unit in units]
+    models = [_cost_model(unit.task) for unit in units]  # (width, depth)
+    unit_costs = [
+        _predicted_states(unit.task, len(roots), model)
+        for unit, roots, model in zip(units, unit_roots, models)
+    ]
+    whole = _whole_units(units, unit_roots, unit_costs, capacity, subroot)
     states: list[_UnitState] = []
     split: list[bool] = []
-    models: list[tuple[int, int]] = []  # per-unit (width, depth) cost model
     for index, unit in enumerate(units):
-        models.append(_cost_model(unit.task))
-        roots = unit.task.build_roots()
-        slots = [
-            _RootSlot(
-                root, _stamp_deadline(replace(unit.task, roots=[root]), deadline)
-            )
-            for root in roots
-        ]
-        state = _UnitState(index, unit, slots)
+        roots = unit_roots[index]
+        if whole[index]:
+            slots = [_RootSlot(_stamp_deadline(unit.task, deadline))]
+        else:
+            slots = [
+                _RootSlot(
+                    _stamp_deadline(replace(unit.task, roots=[root]), deadline)
+                )
+                for root in roots
+            ]
+        state = _UnitState(index, unit, slots, len(roots), whole[index])
         state.spec_fp = spec_fingerprint(split_spec(unit.task)[0])
         states.append(state)
         split.append(
-            subroot == "always"
-            or (subroot == "auto" and len(roots) < capacity)
+            not whole[index]
+            and (
+                subroot == "always"
+                or (subroot == "auto" and len(roots) < capacity)
+            )
         )
     if backend is None:
         # Implicit process pool: splitting exists to raise the shard
-        # count above the root count, so only clamp the pool to the root
-        # count when nothing will split.
-        total_root_shards = sum(len(s.slots) for s in states)
+        # count above the root count, so only clamp the pool to the
+        # shard count (whole units count one) when nothing will split.
+        total_shards = sum(len(s.slots) for s in states)
         if not any(split):
-            capacity = max(1, min(capacity, total_root_shards))
+            capacity = max(1, min(capacity, total_shards))
         backend = ProcessPoolBackend(capacity)
         owned = True
     backend.set_deadline(deadline)
@@ -884,9 +960,9 @@ def _run_sharded(
     min_batches = max(1, math.ceil(2 * capacity / max(1, n_split_roots)))
     #: ticket -> (unit state, root position, batch position, steal index)
     owner: dict[int, tuple[_UnitState, int, int | None, int | None]] = {}
-    #: ticket -> (unit label, root position), kept past cancellation so
+    #: ticket -> (unit label, root tags), kept past cancellation so
     #: stale results still name what they wasted (trace tags only)
-    labels: dict[int, tuple[str, int]] = {}
+    labels: dict[int, tuple[str, dict]] = {}
     submitted: dict[int, float] = {}  # ticket -> submit instant
     predictions: dict[int, int] = {}  # ticket -> raw predicted states
 
@@ -954,14 +1030,22 @@ def _run_sharded(
         registry.counter("campaign.shards").inc()
         if tracker is not None:
             tracker.shard_submitted()
+        # A whole-unit shard names no single root: it carries the root
+        # count instead.
+        tags = (
+            {"root": None, "roots": state.n_roots}
+            if state.whole
+            else {"root": root_pos}
+        )
         obs.event(
             "shard.submit",
             ticket=ticket,
             unit="/".join(state.unit.key),
             predicted=predicted,
+            **tags,
         )
         owner[ticket] = (state, root_pos, sub_pos, steal_idx)
-        labels[ticket] = ("/".join(state.unit.key), root_pos)
+        labels[ticket] = ("/".join(state.unit.key), tags)
         submitted[ticket] = clock.monotonic()
         if predicted:
             predictions[ticket] = predicted
@@ -980,11 +1064,7 @@ def _run_sharded(
         # pure functions -- only wall-clock moves.  Ties keep list
         # order (stable sort), so equal-cost grids behave historically.
         plan_order = sorted(
-            states,
-            key=lambda s: _predicted_states(
-                s.unit.task, len(s.slots), models[s.index]
-            ),
-            reverse=True,
+            states, key=lambda s: unit_costs[s.index], reverse=True
         )
         rec = obs.recorder()
         for state in plan_order:
@@ -1025,8 +1105,12 @@ def _run_sharded(
                         ),
                         root_pos,
                         None,
-                        predicted=_predicted_states(
-                            slot.subtask, 1, models[state.index]
+                        predicted=(
+                            unit_costs[state.index]
+                            if state.whole
+                            else _predicted_states(
+                                slot.subtask, 1, models[state.index]
+                            )
                         ),
                     )
                 else:
@@ -1082,7 +1166,7 @@ def _run_sharded(
                 sink.offer(state.index, state.final)
         for ticket, outcome in backend.as_completed():
             info = owner.pop(ticket, None)
-            unit_label, root_label = labels.pop(ticket)
+            unit_label, tags = labels.pop(ticket)
             cancelled = (
                 isinstance(outcome, Outcome) and outcome.note == CANCEL_NOTE
             )
@@ -1152,12 +1236,12 @@ def _run_sharded(
                     "shard.done",
                     ticket=ticket,
                     unit=unit_label,
-                    root=root_label,
                     kind=outcome.kind,
                     states=outcome.stats.states,
                     elapsed=outcome.elapsed,
                     used=used,
                     cancelled=cancelled,
+                    **tags,
                 )
             if not live:
                 continue

@@ -109,8 +109,7 @@ class ShadowProduct:
     #: The memoizing vector engine (``repro.mc.vector``) understands
     #: this product's two-copy + shadow structure; it additionally
     #: requires ``packed_capable`` (machine states intern as packed
-    #: words) and numpy -- :func:`repro.mc.packed.resolve_engine` checks
-    #: all three.
+    #: words) -- :func:`repro.mc.packed.resolve_engine` checks both.
     vector_capable = True
 
     def __init__(

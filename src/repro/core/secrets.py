@@ -50,23 +50,37 @@ def secret_memory_pairs(
         return []
     if mode == "auto":
         mode = "all" if domain**n_secret <= _AUTO_ALL_LIMIT else "single"
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if mode == "all":
-        images = list(itertools.product(range(domain), repeat=n_secret))
-        pairs = list(itertools.combinations(images, 2))
-    elif mode == "ordered":
-        images = list(itertools.product(range(domain), repeat=n_secret))
-        pairs = list(itertools.permutations(images, 2))
+    # Each secret image is formatted and joined to the public image once,
+    # not once per pair it appears in: ``"all"`` over a 2-bit domain
+    # pairs 256 images into 32,640 roots.
+    if mode in ("all", "ordered"):
+        named = [
+            (f"{image}", public + image)
+            for image in itertools.product(range(domain), repeat=n_secret)
+        ]
+        pick = itertools.combinations if mode == "all" else itertools.permutations
+        pairs = pick(named, 2)
     else:
+        pairs = []
         for cell in range(n_secret):
             for low, high in itertools.combinations(range(domain), 2):
                 image_a = tuple(low if i == cell else 0 for i in range(n_secret))
                 image_b = tuple(high if i == cell else 0 for i in range(n_secret))
-                pairs.append((image_a, image_b))
+                pairs.append(
+                    ((f"{image_a}", public + image_a), (f"{image_b}", public + image_b))
+                )
+    # ``Root`` is a frozen dataclass without ``__post_init__``; filling a
+    # bare instance field by field builds the same object without the
+    # generated ``__init__``'s per-field indirection, which dominated.
+    new = object.__new__
+    set_field = object.__setattr__
     roots = []
-    for image_a, image_b in pairs:
-        label = f"sec{image_a}-vs-{image_b}"
-        roots.append(Root(label=label, dmem_pair=(public + image_a, public + image_b)))
+    append = roots.append
+    for (label_a, memory_a), (label_b, memory_b) in pairs:
+        root = new(Root)
+        set_field(root, "label", "sec" + label_a + "-vs-" + label_b)
+        set_field(root, "dmem_pair", (memory_a, memory_b))
+        append(root)
     return roots
 
 

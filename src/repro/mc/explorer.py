@@ -264,11 +264,11 @@ class Explorer:
         ``engine`` selects the state engine the DFS runs on:
         ``"object"`` (nested-tuple snapshots), ``"packed"`` (flat
         tagged-word ``bytes``; see :mod:`repro.mc.packed`), ``"vector"``
-        (memoized stepping over numpy structure-of-arrays; see
-        :mod:`repro.mc.vector`), or ``"auto"`` -- vector when numpy and
-        the product's capability flags allow it and visited sharing is
-        off, degrading to packed and then object otherwise, overridable
-        via ``REPRO_MC_ENGINE``.  All engines explore bit-identically
+        (memoized stepping over interned product states; see
+        :mod:`repro.mc.vector`), or ``"auto"`` -- vector when the
+        product's capability flags allow it and visited sharing is off,
+        degrading to packed and then object otherwise, overridable via
+        ``REPRO_MC_ENGINE``.  All engines explore bit-identically
         (pinned by ``tests/mc/test_engine_equivalence.py``); the choice
         only moves the per-state cost.
         """
@@ -282,8 +282,8 @@ class Explorer:
         self.engine = resolve_engine(engine, product, shared_visited)
         self._codec = PackedCodec(product) if self.engine == "packed" else None
         if self.engine == "vector":
-            # Lazy import: the module pulls in numpy, which resolve_engine
-            # guarantees is present exactly when this branch is taken.
+            # Lazy import: the vector engine imports repro.core, whose
+            # package imports this module.
             from repro.mc.vector import VectorEngine
 
             self._vector = VectorEngine(product)
@@ -483,9 +483,6 @@ class Explorer:
         engine, the verdict kind and the state count, and the recorder's
         counters absorb the engine's memo/visited sizes -- the numbers
         :meth:`visited_footprint` would deep-walk for, at ``len`` cost.
-        The vector engine's visited-table load factor additionally lands
-        in the live metrics registry (in-process searches only; remote
-        shards carry it home in their span batch counters instead).
         """
         search = self._search_vector if vector else self._search
         rec = obs.recorder()
@@ -500,18 +497,8 @@ class Explorer:
         rec.count("engine.transitions", outcome.stats.transitions)
         vec = self._vector
         if vec is not None:
-            visited = vec.visited
-            rec.count("engine.visited", len(visited))
+            rec.count("engine.visited", len(vec.visited))
             rec.count("engine.memo_entries", len(vec._expand_memo))
-            load = len(visited) / visited.capacity
-            rec.count("engine.visited_load_millis", int(load * 1000))
-            from repro.obs.metrics import LAST_REGISTRY
-
-            if LAST_REGISTRY is not None:
-                LAST_REGISTRY.gauge("engine.visited_load").set(load)
-                LAST_REGISTRY.time_series("engine.visited_load").add(
-                    clock.monotonic(), load
-                )
         elif self._last_visited is not None:
             rec.count("engine.visited", len(self._last_visited))
         return outcome
@@ -701,21 +688,20 @@ class Explorer:
 
         Accounting is line-for-line the serial :meth:`_search` loop --
         same visited-before-budget order, same prune/attack bookkeeping,
-        same ``SearchStats`` -- with three representation swaps: stack
-        nodes are ``(key row, fingerprint, env, depth, state)``, product
-        cycles replay through the engine's memo tables instead of
-        restore + ``step_cycle``, and a node's surviving children push
-        through the vectorized wave filter (which is itself pinned to
-        the serial push order; see the engine docstring).  A node's
-        expansion memoizes as a *summary*: the counter deltas fold once
-        at record time (a replay bumps ``transitions``/``pruned`` in one
-        add instead of re-walking pruned and quiescent records), and
-        only the surviving children and a possible terminal attack keep
-        their environment deltas.  Shared visited mode never reaches
-        here -- ``resolve_engine`` degrades ``vector`` away when sharing
-        is on -- so there is no cross-process filter branch to mirror.
+        same ``SearchStats`` -- with two representation swaps: stack
+        nodes are ``(visited key, env, depth, state)`` with the root
+        index in the key's top bits, and product cycles replay through
+        the engine's memo tables instead of restore + ``step_cycle``.
+        A node's expansion memoizes as a *summary*: the counter deltas
+        fold once at record time (a replay bumps ``transitions`` /
+        ``pruned`` in one add instead of re-walking pruned and quiescent
+        records), and only the surviving children and a possible
+        terminal attack keep their environment deltas.  Shared visited
+        mode never reaches here -- ``resolve_engine`` degrades
+        ``vector`` away when sharing is on -- so there is no
+        cross-process filter branch to mirror.
         """
-        from repro.mc.vector import _MASK64, WIDE_WAVE
+        from repro.mc.vector import ROOT_SHIFT, visited_key
 
         budget = _Budget(self.limits)
         vec = self._vector
@@ -730,6 +716,7 @@ class Explorer:
         visited_add = visited.add
         env_ids = vec._env_ids
         env_setdefault = env_ids.setdefault
+        key_of = visited_key
         stack_append = stack.append
         exhausted = _Budget.exhausted
         states = transitions = pruned = max_depth = 0
@@ -744,10 +731,11 @@ class Explorer:
         # per-memory memo tables.
         active_root: int | None = None
         while stack:
-            row, fp, env, depth, state = stack.pop()
-            if not visited_add(row, fp):
+            key, env, depth, state = stack.pop()
+            if key in visited:
                 continue
-            root_index = row[0]
+            visited_add(key)
+            root_index = key >> ROOT_SHIFT
             if root_index != active_root:
                 vec.select_root(roots[root_index])
                 active_root = root_index
@@ -863,34 +851,19 @@ class Explorer:
                     stats=stats,
                     counterexample=cex,
                 )
-            if len(pushes) < WIDE_WAVE:
-                # Narrow wave, inlined (the dominant shape): the same
-                # push :meth:`repro.mc.vector.VectorEngine.push_wave`
-                # performs, without the call and re-binding overhead.
-                depth1 = depth + 1
-                for slots, preds, child in pushes:
-                    child_env = env
-                    if slots is not None:
-                        child_env = child_env.with_slots(slots)
-                    if preds is not None:
-                        child_env = child_env.with_predictions(preds)
-                    env_id = env_setdefault(child_env, len(env_ids))
-                    crow = (
-                        root_index, env_id, child[0], child[1], child[2],
-                    )
-                    # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
-                    cfp = hash(crow) & _MASK64 or 1
-                    stack_append((crow, cfp, child_env, depth1, child))
-                continue
-            children = []
+            # The same push :meth:`repro.mc.vector.VectorEngine.push_wave`
+            # performs, inlined without the call and re-binding overhead.
+            depth1 = depth + 1
             for slots, preds, child in pushes:
                 child_env = env
                 if slots is not None:
                     child_env = child_env.with_slots(slots)
                 if preds is not None:
                     child_env = child_env.with_predictions(preds)
-                children.append((child_env, child))
-            push_wave(root_index, depth + 1, children, stack)
+                env_id = env_setdefault(child_env, len(env_ids))
+                stack_append(
+                    (key_of(root_index, env_id, child), child_env, depth1, child)
+                )
         stats = SearchStats(
             states, transitions, pruned, max_depth, prune_reasons, 0
         )

@@ -21,10 +21,7 @@ integer array instead:
   equality coincides exactly with object-snapshot equality.
 - **The canonical key is ``bytes``.**  Words serialize as little-endian
   64-bit integers into one flat buffer: hashing and comparing a visited
-  key is a single C pass instead of a recursive tuple walk, and the
-  blob is directly ``numpy``-consumable
-  (``np.frombuffer(blob, dtype='<i8')``) for structure-of-arrays
-  analyses.
+  key is a single C pass instead of a recursive tuple walk.
 
 Selection is per-core via a capability flag: cores that implement
 ``snapshot_words``/``restore_words`` advertise ``packed_state = True``
@@ -43,7 +40,6 @@ Both engines are pinned bit-identical to :mod:`repro.mc.legacy` by
 from __future__ import annotations
 
 import os
-from importlib.util import find_spec
 from struct import Struct
 
 #: Environment variable forcing the engine: ``object``, ``packed`` or
@@ -56,24 +52,6 @@ ENGINE_ENV = "REPRO_MC_ENGINE"
 #: stops growing and odd widths pack uncached instead of accumulating
 #: one ``Struct`` per width forever.
 _MAX_PACKERS = 64
-
-_numpy_present: bool | None = None
-
-
-def numpy_available() -> bool:
-    """Whether numpy is importable (cheap spec probe, cached).
-
-    The vector engine is the only consumer; probing the spec instead of
-    importing keeps engine resolution from paying the numpy import when
-    the answer is only needed to *decline* the vector engine.
-    """
-    global _numpy_present
-    if _numpy_present is None:
-        try:
-            _numpy_present = find_spec("numpy") is not None
-        except (ImportError, ValueError):  # broken/teardown import state
-            _numpy_present = False
-    return _numpy_present
 
 #: 2-bit word tags (low bits).
 TAG_SCALAR = 0
@@ -139,8 +117,8 @@ def resolve_engine(requested: str, product, shared_visited: bool) -> str:
 
     ``auto`` consults :data:`ENGINE_ENV` and otherwise prefers the
     vector engine.  Degradation is graceful and chained: a vector
-    request falls back to ``packed`` when numpy is absent, the product
-    is not ``vector_capable``/``packed_capable``, or cross-root visited
+    request falls back to ``packed`` when the product is not
+    ``vector_capable``/``packed_capable``, or cross-root visited
     sharing is on (the memoizing engine keys visited rows per root, and
     mirror canonicalization is defined on object snapshots); the packed
     request then applies its own rules and may land on ``object``.
@@ -153,7 +131,6 @@ def resolve_engine(requested: str, product, shared_visited: bool) -> str:
         raise ValueError(f"unknown state engine {requested!r}")
     if requested == "vector" and (
         shared_visited
-        or not numpy_available()
         or not getattr(product, "vector_capable", False)
         or not getattr(product, "packed_capable", False)
     ):

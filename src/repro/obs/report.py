@@ -1,6 +1,6 @@
 """Render a JSONL trace (``python -m repro.obs.report TRACE``).
 
-Three sections, all computed from the merged trace file a traced
+Several sections, all computed from the merged trace file a traced
 campaign writes (``--trace`` on the campaign/fuzz CLIs):
 
 - **per-worker timeline**: each worker's top-level spans laid out
@@ -11,6 +11,10 @@ campaign writes (``--trace`` on the campaign/fuzz CLIs):
   "where did the campaign spend its time" breakdown;
 - **hottest units**: top-N campaign units by verification time
   (from the scheduler's ``unit.done`` events);
+- **work efficiency**: per unit, the states its shards executed
+  against the merged (serial-equivalent) states, and the shard seconds
+  the merge used, that were cancelled mid-search, or that finished but
+  were discarded (from ``shard.done`` and ``unit.done`` events);
 - **histograms**: metric-histogram summaries from the trace's registry
   snapshot (e.g. the socket coordinator's per-worker heartbeat RTT,
   ``cluster.heartbeat_rtt_s``).
@@ -160,6 +164,73 @@ def format_hot_units(records: list[dict], *, top: int = 10) -> str:
     return "\n".join(lines)
 
 
+def format_work_efficiency(records: list[dict]) -> str:
+    """Executed vs. merged states and used/cancelled/discarded seconds.
+
+    Every ``shard.done`` event names its unit, its executed ``states``
+    and ``elapsed`` search seconds, and whether the merge ``used`` it or
+    it was ``cancelled`` mid-search; a shard that is neither finished
+    work the merge discarded.  ``unit.done`` carries the unit's merged
+    states, so executed / merged is the unit's work efficiency (1.00:
+    no state explored twice or in vain).
+    """
+    units: dict[str, list] = {}
+    for record in records:
+        if record["type"] != "event" or record["name"] != "shard.done":
+            continue
+        attrs = record.get("attrs") or {}
+        entry = units.setdefault(str(attrs.get("unit", "?")), [0, 0, 0.0, 0.0, 0.0])
+        elapsed = float(attrs.get("elapsed", 0.0))
+        entry[0] += 1
+        entry[1] += int(attrs.get("states", 0))
+        if attrs.get("used"):
+            entry[2] += elapsed
+        elif attrs.get("cancelled"):
+            entry[3] += elapsed
+        else:
+            entry[4] += elapsed
+    if not units:
+        return "work efficiency: no shard.done events"
+    merged: dict[str, int] = {}
+    for record in records:
+        if record["type"] == "event" and record["name"] == "unit.done":
+            attrs = record.get("attrs") or {}
+            merged[str(attrs.get("unit", "?"))] = int(attrs.get("states", 0))
+    lines = [
+        "work efficiency (shards / executed / merged / ratio; "
+        "seconds used / cancelled / discarded)"
+    ]
+    totals = [0, 0, 0, 0.0, 0.0, 0.0]
+    for unit in sorted(units):
+        shards, executed, used, cancelled, discarded = units[unit]
+        kept = merged.get(unit, 0)
+        for index, value in enumerate(
+            (shards, executed, kept, used, cancelled, discarded)
+        ):
+            totals[index] += value
+        lines.append(_efficiency_line(
+            unit, shards, executed, kept, used, cancelled, discarded
+        ))
+    lines.append(_efficiency_line("total", *totals))
+    return "\n".join(lines)
+
+
+def _efficiency_line(
+    label: str,
+    shards: int,
+    executed: int,
+    merged: int,
+    used: float,
+    cancelled: float,
+    discarded: float,
+) -> str:
+    ratio = f"{executed / merged:6.2f}" if merged else "     -"
+    return (
+        f"  {label:<28s} {shards:5d} {executed:10d} {merged:10d} {ratio}"
+        f"  {_fmt_s(used)} {_fmt_s(cancelled)} {_fmt_s(discarded)}"
+    )
+
+
 def _percentile_from_buckets(
     boundaries: list[float], counts: list[int], q: float
 ) -> float | None:
@@ -233,6 +304,7 @@ def format_report(records: list[dict], *, top: int = 10, limit: int = 30) -> str
         format_timeline(records, limit=limit),
         format_span_tree(records),
         format_hot_units(records, top=top),
+        format_work_efficiency(records),
     ]
     counters = format_counters(records)
     if counters:

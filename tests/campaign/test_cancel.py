@@ -184,6 +184,11 @@ class _PoolLikeBackend(SerialBackend):
         self.ran: list[int] = []
         self.cancelled: set[int] = set()
 
+    def capacity(self) -> int:
+        # Two slots, like a small pool: a one-unit campaign then shards
+        # by root instead of shipping the unit whole.
+        return 2
+
     def cancel(self, ticket: int) -> bool:
         if ticket in self._queue:
             self.cancelled.add(ticket)

@@ -43,6 +43,33 @@ def test_ordered_mode_emits_both_orientations():
     assert all((b, a) in pairs for a, b in pairs)
 
 
+def test_roots_are_labelled_and_ordered_like_the_quantifier():
+    """Labels, memories and order pinned against a direct enumeration
+    (itertools order, ``sec<A>-vs-<B>`` labels, public image first)."""
+    import itertools
+
+    from repro.mc.explorer import Root
+
+    params = MachineParams(value_bits=1, mem_size=4, n_public=2)
+    public = (1, 0)
+    images = list(itertools.product(range(2), repeat=2))
+    for mode, pick in (
+        ("all", itertools.combinations),
+        ("ordered", itertools.permutations),
+    ):
+        expected = [
+            Root(f"sec{a}-vs-{b}", (public + a, public + b))
+            for a, b in pick(images, 2)
+        ]
+        assert secret_memory_pairs(params, mode, public) == expected, mode
+    single = secret_memory_pairs(params, "single", public)
+    assert [root.label for root in single] == [
+        "sec(0, 0)-vs-(1, 0)",
+        "sec(0, 0)-vs-(0, 1)",
+    ]
+    assert single[1].dmem_pair == ((1, 0, 0, 0), (1, 0, 0, 1))
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         secret_memory_pairs(MachineParams(), "everything")

@@ -12,6 +12,11 @@ the engine swap.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench import ablation, fig2, table2
@@ -45,7 +50,7 @@ ENGINES = ("object", "packed", "vector")
 @pytest.mark.parametrize("slice_name", sorted(SLICES))
 def test_new_engine_matches_legacy_bit_for_bit(slice_name, monkeypatch):
     """All three state engines (object tuples, packed word arrays, the
-    numpy vector engine) must reproduce the legacy search bit for bit,
+    memoizing vector engine) must reproduce the legacy search bit for bit,
     on every slice."""
     units = SLICES[slice_name]()
     assert units, slice_name
@@ -62,13 +67,10 @@ def test_new_engine_matches_legacy_bit_for_bit(slice_name, monkeypatch):
 
 def test_engine_selection_follows_capability(monkeypatch):
     """Auto-selection engages each engine exactly where the capability
-    flags say: shadow products of OoO cores take the vector engine (when
-    numpy is importable; the packed engine otherwise), the four-machine
-    baseline and shared-visited searches fall back to the object
-    engine."""
-    from repro.mc import packed
+    flags say: shadow products of OoO cores take the vector engine, the
+    four-machine baseline and shared-visited searches fall back to the
+    object engine."""
     from repro.mc.explorer import Explorer
-    from repro.mc.packed import numpy_available
 
     monkeypatch.delenv("REPRO_MC_ENGINE", raising=False)
     engines = set()
@@ -81,7 +83,7 @@ def test_engine_selection_follows_capability(monkeypatch):
         )
         if not getattr(product, "packed_capable", False):
             expected = "object"
-        elif numpy_available() and getattr(product, "vector_capable", False):
+        elif getattr(product, "vector_capable", False):
             expected = "vector"
         else:
             expected = "packed"
@@ -93,27 +95,46 @@ def test_engine_selection_follows_capability(monkeypatch):
         )
         assert shared.engine == "object", unit.key
     # The grid exercises both sides of the capability split.
-    expected_engines = {"object", "vector" if numpy_available() else "packed"}
-    assert engines == expected_engines
+    assert engines == {"object", "vector"}
+    # A vector request degrades down the chain on a product with only
+    # the packed capability, and to object without either.
+    from types import SimpleNamespace
 
-    # Without numpy the vector request degrades to the packed engine --
-    # simulated by blanking the cached availability probe, so this holds
-    # on numpy-equipped CI hosts too.
-    monkeypatch.setattr(packed, "_numpy_present", False)
-    unit = next(
-        u for u in table2.units(QUICK)
-        if getattr(u.task.build_product(), "packed_capable", False)
+    from repro.mc.packed import resolve_engine
+
+    packed_only = SimpleNamespace(vector_capable=False, packed_capable=True)
+    assert resolve_engine("vector", packed_only, False) == "packed"
+    assert resolve_engine("vector", packed_only, True) == "object"
+    assert resolve_engine("vector", SimpleNamespace(), False) == "object"
+
+
+def test_vector_search_runs_on_the_standard_library():
+    """A whole vector-engine search, in a fresh interpreter, never
+    imports numpy: the engine is stdlib-only."""
+    script = (
+        "import sys\n"
+        "from repro.bench import fig2\n"
+        "from repro.bench.configs import QUICK\n"
+        "from repro.mc.explorer import Explorer\n"
+        "task = fig2.point_task(fig2.PANELS[0], 'rob', 2, QUICK)\n"
+        "explorer = Explorer(task.build_product(), task.space,"
+        " task.build_roots(), task.limits)\n"
+        "outcome = explorer.run()\n"
+        "assert explorer.engine == 'vector', explorer.engine\n"
+        "assert outcome.proved, outcome\n"
+        "print('numpy' in sys.modules)\n"
     )
-    task = unit.task
-    degraded = Explorer(
-        task.build_product(), task.space, task.build_roots(), task.limits
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_MC_ENGINE"}
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
     )
-    assert degraded.engine == "packed"
-    monkeypatch.setenv("REPRO_MC_ENGINE", "vector")
-    degraded = Explorer(
-        task.build_product(), task.space, task.build_roots(), task.limits
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    assert degraded.engine == "packed"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,18 +1,16 @@
-"""Unit coverage for the vector engine's numpy substrate.
+"""Unit coverage for the vector engine's stdlib data structures.
 
 Three layers, matching :mod:`repro.mc.vector`'s structure:
 
-- the packed blob really is numpy-consumable: ``np.frombuffer(blob,
-  dtype='<i8')`` recovers the exact word array for every
-  ``packed_capable`` core configuration (the :mod:`repro.mc.packed`
-  docstring's promise, exercised here rather than trusted);
-- the fingerprint scheme: the vectorized batch fingerprint replicates
-  CPython's tuple hash lane-for-lane, including the sign/overflow edge
-  cases the replication folds by hand;
-- :class:`repro.mc.vector.VectorVisited` / ``FrontierArena``: randomized
-  insert/probe cross-checked against a Python ``set``, forced fingerprint
-  collisions, growth across several doublings, and the lossy-drop
-  counter when the table is capacity-pinned.
+- the packed blob is a flat little-endian word array: ``struct``
+  recovers the exact words the cores emitted, for every
+  ``packed_capable`` core configuration;
+- the visited key: :func:`repro.mc.vector.visited_key` packs a search
+  row into one int injectively (randomized and at the field edges) and
+  the root index comes back out of the top bits;
+- the visited set: a real search leaves exactly one key per explored
+  state, the push keeps choice order without a prefilter, and the
+  footprint counts the set.
 
 The search-level contract (bit-identical verdicts/stats) lives in
 ``test_engine_equivalence.py``; this file owns the data structures.
@@ -21,23 +19,19 @@ The search-level contract (bit-identical verdicts/stats) lives in
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
+from repro.bench import fig2
+from repro.bench.configs import QUICK
 from repro.core.contracts import sandboxing
 from repro.core.products import ShadowProduct
-from repro.events import FetchBundle
-from repro.isa.instruction import HALT, Opcode
-from repro.isa.params import MachineParams
+from repro.isa.instruction import HALT
+from repro.mc.env import Environment
+from repro.mc.explorer import Explorer
 from repro.mc.packed import PackedCodec, decode_word, encode_word
-from repro.mc.vector import (
-    FrontierArena,
-    VectorVisited,
-    fingerprint_row,
-    fingerprint_rows,
-)
+from repro.mc.vector import ROOT_SHIFT, VectorEngine, visited_key
 from repro.uarch.config import CacheConfig, Defense
 from repro.uarch.simple_ooo import simple_ooo
 
@@ -45,7 +39,7 @@ from test_snapshot_roundtrip import DMEM_PAIR, PARAMS, PROGRAM, _fetch
 
 
 # ---------------------------------------------------------------------------
-# Packed blobs are numpy-consumable (the docstring claim)
+# Packed blobs are flat little-endian word arrays
 # ---------------------------------------------------------------------------
 _CACHE = CacheConfig(n_sets=1, block_words=2, hit_latency=1, miss_latency=3)
 
@@ -59,9 +53,9 @@ _CORE_CONFIGS = {
 
 
 @pytest.mark.parametrize("config", sorted(_CORE_CONFIGS))
-def test_packed_blob_is_numpy_consumable(config):
-    """``np.frombuffer(blob, dtype='<i8')`` recovers the exact words the
-    core emitted, on every reachable snapshot of a driven product."""
+def test_packed_blob_is_a_flat_word_array(config):
+    """``struct.unpack('<Nq', blob)`` recovers the exact words the core
+    emitted, on every reachable snapshot of a driven product."""
     product = ShadowProduct(_CORE_CONFIGS[config], sandboxing())
     assert product.packed_capable
     codec = PackedCodec(product)
@@ -70,8 +64,9 @@ def test_packed_blob_is_numpy_consumable(config):
         blob = codec.snapshot()
         words = []
         product.snapshot_words(words, codec.atoms)
-        arr = np.frombuffer(blob, dtype="<i8")
-        assert arr.tolist() == words, f"{config} cycle {cycle}"
+        assert list(struct.unpack(f"<{len(blob) // 8}q", blob)) == words, (
+            f"{config} cycle {cycle}"
+        )
         # Every word decodes against the codec's atom table and
         # re-encodes to itself (tag round-trip; bools legitimately
         # re-encode as their 0/1 scalar).
@@ -93,150 +88,88 @@ def test_packed_blob_is_numpy_consumable(config):
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints: the vectorized tuple-hash replication
+# The packed visited key
 # ---------------------------------------------------------------------------
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-_EDGES = (
-    0, 1, -1, 2, -2,
-    (1 << 61) - 2, (1 << 61) - 1, 1 << 61, (1 << 61) + 1,
-    -((1 << 61) - 1), -(1 << 61),
-    INT64_MAX, INT64_MIN, INT64_MIN + 1,
-)
+_TOP = (1 << 32) - 1
+_EDGES = (0, 1, 2, 255, 256, (1 << 31) - 1, 1 << 31, _TOP - 1, _TOP)
 
 
-def test_batch_fingerprint_matches_scalar_on_edge_values():
-    rows = [
-        (edge, 0, -edge if edge != INT64_MIN else edge, 7, edge)
-        for edge in _EDGES
-    ]
-    batch = fingerprint_rows(np.array(rows, dtype=np.int64))
-    for row, fp in zip(rows, batch):
-        assert int(fp) == fingerprint_row(row), row
+def _key(row):
+    root_index, env_id, sid0, sid1, shadow_id = row
+    return visited_key(root_index, env_id, (sid0, sid1, shadow_id))
 
 
-def test_batch_fingerprint_matches_scalar_randomized():
-    rng = random.Random(0xC0FFEE)
-    rows = [
-        tuple(
-            rng.choice(
-                (rng.randrange(-8, 8), rng.randrange(INT64_MIN, INT64_MAX))
-            )
-            for _ in range(5)
-        )
-        for _ in range(2000)
-    ]
-    batch = fingerprint_rows(np.array(rows, dtype=np.int64))
-    for row, fp in zip(rows, batch):
-        assert int(fp) == fingerprint_row(row), row
+def test_visited_key_is_injective_on_field_edges():
+    rng = random.Random(7)
+    rows = {tuple(rng.choice(_EDGES) for _ in range(5)) for _ in range(4000)}
+    keys = {_key(row) for row in rows}
+    assert len(keys) == len(rows)
+    for row in rows:
+        assert _key(row) >> ROOT_SHIFT == row[0]
 
 
-# ---------------------------------------------------------------------------
-# VectorVisited
-# ---------------------------------------------------------------------------
-def _visited(width=5, capacity=16, max_capacity=None):
-    arena = FrontierArena()
-    return VectorVisited(
-        width=width, arena=arena, capacity=capacity, max_capacity=max_capacity
-    )
-
-
-def test_visited_randomized_against_python_set():
-    """Insert/probe agreement with a plain set across several growth
-    doublings, interleaving scalar adds with batch probes."""
-    visited = _visited()
-    model: set[tuple] = set()
+def test_visited_key_set_agrees_with_a_set_of_rows():
+    """Insert/probe through packed keys answers exactly like a set of
+    the row tuples themselves, across a randomized workload."""
     rng = random.Random(42)
     universe = [
-        tuple(rng.randrange(-64, 64) for _ in range(5)) for _ in range(4000)
+        tuple(rng.randrange(0, 1 << rng.choice((3, 12, 32))) for _ in range(5))
+        for _ in range(4000)
     ]
-    for step in range(12000):
+    keys: set[int] = set()
+    rows: set[tuple] = set()
+    for _ in range(12000):
         row = universe[rng.randrange(len(universe))]
-        fp = visited.fingerprint(row)
-        assert visited.contains(row, fp) == (row in model)
-        assert visited.add(row, fp) == (row not in model)
-        model.add(row)
-        if step % 1024 == 0:
-            batch = [
-                universe[rng.randrange(len(universe))] for _ in range(64)
-            ]
-            rows = np.array(batch, dtype=np.int64)
-            hits = visited.contains_batch(
-                rows, visited.fingerprint_batch(rows)
-            )
-            for row, hit in zip(batch, hits):
-                assert bool(hit) == (row in model), row
-    assert visited.count == len(model)
-    assert visited.dropped == 0
-
-
-def test_visited_forced_fingerprint_collision():
-    """Distinct rows sharing a fingerprint still resolve exactly (the
-    stored-row confirm), scalar and batch alike."""
-    visited = _visited(width=2)
-    a, b, c = (1, 2), (3, 4), (5, 6)
-    fp = visited.fingerprint(a)
-    assert visited.add(a, fp)
-    assert not visited.add(a, fp)
-    # b inserted under a's fingerprint: a forced collision chain.
-    assert visited.add(b, fp)
-    assert visited.contains(a, fp) and visited.contains(b, fp)
-    assert not visited.contains(c, fp)
-    rows = np.array([a, b, c], dtype=np.int64)
-    hits = visited.contains_batch(rows, np.full(3, fp, dtype=np.uint64))
-    assert hits.tolist() == [True, True, False]
-
-
-def test_visited_growth_preserves_membership():
-    visited = _visited(capacity=16)
-    rows = [(i, i * 3, -i, i & 7, 11) for i in range(5000)]
-    for row in rows:
-        assert visited.add(row, visited.fingerprint(row))
-    assert visited.count == len(rows)
-    # Table grew well past the seed capacity; everything still probes.
-    for row in rows:
-        assert visited.contains(row, visited.fingerprint(row))
-    arr = np.array(rows, dtype=np.int64)
-    assert visited.contains_batch(arr, visited.fingerprint_batch(arr)).all()
-
-
-def test_visited_pinned_capacity_counts_drops():
-    """A capacity-pinned table degrades to lossy (like the shared
-    filter's full window) and counts what it dropped."""
-    visited = _visited(capacity=8, max_capacity=8)
-    inserted = 0
-    for i in range(64):
-        row = (i, i + 1, i + 2, i + 3, i + 4)
-        if visited.add(row, visited.fingerprint(row)):
-            inserted += 1
-    assert inserted == 64  # adds still report first-visit
-    assert visited.dropped > 0
-    assert visited.count + visited.dropped == 64
-    assert visited.count <= 8
+        assert (_key(row) in keys) == (row in rows)
+        keys.add(_key(row))
+        rows.add(row)
+    assert len(keys) == len(rows)
 
 
 # ---------------------------------------------------------------------------
-# FrontierArena
+# The visited set inside a search
 # ---------------------------------------------------------------------------
-def test_arena_append_extend_and_rows():
-    arena = FrontierArena()
-    width, index = arena.append((1, 2, 3))
-    assert (width, index) == (3, 0)
-    assert arena.row(3, 0).tolist() == [1, 2, 3]
-    block = np.arange(12, dtype=np.int64).reshape(4, 3)
-    start = arena.extend(3, block)
-    assert start == 1
-    assert arena.count(3) == 5
-    assert arena.rows(3)[1:].tolist() == block.tolist()
-    # A different width lives in its own bucket.
-    arena.append((9, 9, 9, 9))
-    assert arena.count(4) == 1 and arena.count(3) == 5
-    assert arena.nbytes > 0
+def _rob_task(rob=2):
+    return fig2.point_task(fig2.PANELS[0], "rob", rob, QUICK)
 
 
-def test_arena_dedup_last_keeps_final_occurrence():
-    rows = np.array(
-        [(1, 2), (3, 4), (1, 2), (5, 6), (3, 4)], dtype=np.int64
+def test_search_keeps_one_visited_key_per_explored_state():
+    task = _rob_task()
+    explorer = Explorer(
+        task.build_product(), task.space, task.build_roots(), task.limits,
+        engine="vector",
     )
-    keep = FrontierArena.dedup_last(rows)
-    assert keep.tolist() == [False, False, True, True, True]
+    outcome = explorer.run()
+    assert outcome.proved
+    visited = explorer._vector.visited
+    assert type(visited) is set
+    assert len(visited) == outcome.stats.states
+    # Every key names one of the task's roots in its top bits.
+    assert {key >> ROOT_SHIFT for key in visited} == set(
+        range(len(task.build_roots()))
+    )
+    keys, footprint = explorer.visited_footprint()
+    assert keys == len(visited)
+    assert footprint > 48 * len(visited)
+
+
+def test_push_keeps_choice_order_and_visited_children():
+    """The push appends every child in choice order -- an already
+    visited child included (it is skipped when popped, like the serial
+    engine does)."""
+    task = _rob_task()
+    product = task.build_product()
+    engine = VectorEngine(product)
+    [root, *_] = task.build_roots()
+    engine.select_root(root)
+    state = engine.capture()
+    env = Environment.empty(product.params.imem_size)
+    node = engine.seed_node(0, env, state, 0)
+    engine.visited.add(node[0])
+    children = [(env, state), (env.with_slots({0: HALT}), state)]
+    stack: list[tuple] = []
+    engine.push_wave(0, 1, children, stack)
+    assert [entry[1] for entry in stack] == [child_env for child_env, _ in children]
+    assert stack[0][0] == node[0]  # visited, still pushed
+    assert stack[1][0] != node[0]
+    assert all(entry[2] == 1 and entry[3] == state for entry in stack)

@@ -106,12 +106,12 @@ def test_new_registry_repoints_the_module_global():
 def test_snapshot_is_json_safe_and_complete():
     registry = MetricsRegistry()
     registry.counter("campaign.shards").inc(4)
-    registry.gauge("engine.visited_load").set(0.43)
+    registry.gauge("campaign.grain_states").set(0.43)
     registry.histogram("campaign.grain_error").observe(1.2)
     registry.time_series("campaign.states_per_s").add(0.5, 1000.0)
     snapshot = json.loads(json.dumps(registry.snapshot()))
     assert snapshot["counters"] == {"campaign.shards": 4}
-    assert snapshot["gauges"]["engine.visited_load"] == pytest.approx(0.43)
+    assert snapshot["gauges"]["campaign.grain_states"] == pytest.approx(0.43)
     hist = snapshot["histograms"]["campaign.grain_error"]
     assert hist["count"] == 1
     assert sum(hist["counts"]) == 1
