@@ -1,15 +1,17 @@
-"""Campaign scaling: root-sharded grids and sub-root-sharded proofs.
+"""Campaign scaling: whole-unit grids and sub-root-sharded proofs.
 
 The paper's evaluation is a grid of independent verification tasks; the
-campaign scheduler (``repro.campaign``) shards each cell across its
-secret-pair roots -- and, below the root, across the first cycle's
-nondeterministic choices -- and fans everything over worker processes.
+campaign scheduler (``repro.campaign``) ships each cell of a grid at
+least as wide as the pool as one whole-unit shard, shards a narrower
+campaign's cells across their secret-pair roots -- and, below the root,
+across the first cycle's nondeterministic choices -- and fans
+everything over worker processes.
 Four wall-clock records accumulate in ``BENCH_campaign.json`` at the
 repository root:
 
 - ``table2-grid``: the full model-checked Table-2 grid (shadow +
-  baseline schemes, five designs), serial vs 4 workers at root
-  granularity, and
+  baseline schemes, five designs), serial vs 4 workers (ten units, so
+  one whole-unit shard per cell), and
 - ``fig2-rob-subroot``: the dominant Fig. 2 ROB sweep cell -- a workload
   one root's subtree dominates, which root sharding cannot split --
   serial vs 4 workers with sub-root sharding forced on, and
@@ -42,6 +44,7 @@ from pathlib import Path
 from conftest import update_bench_record
 from repro.bench import fig2, table2
 from repro.bench.runner import run_units
+from repro.campaign import scheduler
 from repro.campaign.scheduler import verify_sharded
 from repro.core.secrets import with_mirrored_roots
 from repro.core.verifier import verify
@@ -79,7 +82,7 @@ def test_campaign_scaling_table2_grid(scale):
         "n_workers": N_WORKERS,
         "oversubscribed": N_WORKERS > (os.cpu_count() or 1),
         "n_units": len(units),
-        "n_shards": sum(len(u.task.build_roots()) for u in units),
+        "n_shards": scheduler.LAST_TELEMETRY.shards,
         "serial_s": round(serial_s, 3),
         "parallel_s": round(parallel_s, 3),
         "speedup": round(serial_s / parallel_s, 3),
@@ -144,7 +147,7 @@ def test_subroot_sharding_dominant_rob_cell(scale):
         f"({n_roots} roots) -> {BENCH_RECORD.name}"
     )
 
-    # Unlike the 72-shard table2 grid, this cell splits into only ~7
+    # Unlike the ten-unit table2 grid, this cell splits into only ~7
     # first-cycle shards of very uneven size, so the parallel margin is
     # thin even on multi-core runners; assert the sharding is not
     # pathologically slower rather than strictly faster (the JSON above
@@ -217,7 +220,6 @@ def test_shared_visited_dominant_rob_cell(scale, monkeypatch):
 def test_socket_backend_dominant_rob_cell(scale):
     """Serial vs socket-cluster (2 worker agents over TCP) wall-clock on
     the dominant Fig. 2 ROB cell, sub-root sharding + rebalance on."""
-    from repro.campaign import scheduler
     from repro.campaign.backends import SocketClusterBackend
 
     panel = fig2.PANELS[0]

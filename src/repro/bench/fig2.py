@@ -183,10 +183,8 @@ def run(
     """Run both panels; returns ``results[panel][structure]``.
 
     ``n_workers`` fans the sweep grid over the campaign scheduler
-    (``1`` = the historical serial path).  Points ship as whole-unit
-    shards, except a point predicted to cost more than ``1/n_workers``
-    of the grid (the ROB-8 points from four workers up): with one or two
-    quantifier roots it shards below the root (``subroot="auto"``).
+    (``1`` = the historical serial path).  The grid has more points
+    than workers, so every point ships as one whole-unit shard.
     """
     grid = units(
         scale,

@@ -188,8 +188,11 @@ class WorkItem:
     Three item kinds share the schedulable-unit contract (a pure
     function of the pickled fields, so merges are backend-independent):
 
-    - ``task`` with ``entries is None``: a whole-root shard (verify the
-      single-root ``task`` outright);
+    - ``task`` with ``entries is None``: verify ``task`` outright -- a
+      whole-root shard when ``task`` carries one root, a whole-unit
+      shard when it carries every root of its unit (the serial
+      :func:`repro.core.verifier.verify` path, stopping at the first
+      non-proof root);
     - ``task`` with ``entries``: a seeded sub-root *batch* -- a
       contiguous slice of one root's first-cycle frontier, searched in
       one :meth:`repro.mc.explorer.Explorer.run_seeded` call.  Because

@@ -29,16 +29,17 @@ entries, which runs :func:`repro.core.verifier.verify`, the serial path
 itself: one warm engine across the unit's roots, stopping at the first
 non-proof root, bit-identical to serial by construction -- when all of
 these hold: the campaign has at least ``capacity`` units, ``subroot``
-is not ``"always"``, the unit is not ``shared_visited``, and the unit's
-cost-model prediction (:func:`_predicted_states`) is at most
-``1/capacity`` of the campaign total.  Every other unit keeps the root
-and sub-root planning below (the Fig. 2 ROB-8 points, 43% of the Fig. 2
-grid's predicted cost each, still shard below the root on four
-workers).  Budget note: a whole unit gets the task's ``timeout_s``
-once, across all of its roots, exactly as on the serial path, whereas
-root shards each get the full ``timeout_s``.  Whole-unit shards tag
-their ``shard.submit``/``shard.done`` events ``root=None`` and
-``roots=<n>``.
+is not ``"always"``, and the unit is not ``shared_visited``.  Every
+other unit keeps the root and sub-root planning below.  A unit's
+predicted cost plays no part: on two CPUs, shipping the Table-2 BOOM
+cells and the Fig. 2 ROB-8 points whole too beat splitting them on
+four workers (one warm engine and no speculative sibling roots
+outweigh the lost parallelism), while grids with fewer units than
+slots -- a lone ROB-8 cell -- still split.  Budget note: a whole unit
+gets the task's ``timeout_s`` once, across all of its roots, exactly as
+on the serial path, whereas root shards each get the full
+``timeout_s``.  Whole-unit shards tag their ``shard.submit`` /
+``shard.done`` events ``root=None`` and ``roots=<n>``.
 
 **Sub-root sharding.**  Root sharding cannot split a workload dominated
 by a *single* root's subtree (the Fig. 2 ROB sweep points).  Below the
@@ -59,12 +60,13 @@ milliseconds.  The scheduler therefore packs *contiguous* runs of
 children into batches sized to a target work grain: per-child subtree
 predictions (the cost model above) are corrected by a process-global
 EWMA calibration (:class:`_Calibration`) that observes every finished
-shard's predicted-vs-measured state count and throughput, yielding a
-grain of roughly :data:`TARGET_BATCH_SECONDS` of measured work per
-shard.  Contiguity is what keeps the determinism contract free:
-``run_seeded`` on a contiguous slice of the expansion's entries replays
-exactly the serial merge of its singletons, so batch boundaries can move
-with calibration without ever touching results.  A floor of two batches
+shard's predicted-vs-measured state count and throughput (a whole-unit
+shard's only when it proves: otherwise it skipped roots its prediction
+counts), yielding a grain of roughly :data:`TARGET_BATCH_SECONDS` of
+measured work per shard.  Contiguity is what keeps the determinism
+contract free: ``run_seeded`` on a contiguous slice of the expansion's
+entries replays exactly the serial merge of its singletons, so batch
+boundaries can move with calibration without ever touching results.  A floor of two batches
 per backend slot is kept so rebalance still has raceable targets.
 
 **Hot workers.**  Shards of one unit share everything but their seed
@@ -557,8 +559,9 @@ class _RootSlot:
 class _UnitState:
     """Book-keeping for one in-flight sharded unit.
 
-    ``whole`` marks a unit shipped as one whole-unit shard (a single
-    slot running every root); ``n_roots`` is its task's root count.
+    ``ships_whole`` marks a unit shipped as one whole-unit shard (a
+    single slot running every root); ``n_roots`` is its task's root
+    count.
     """
 
     def __init__(
@@ -567,13 +570,13 @@ class _UnitState:
         unit: CampaignUnit,
         slots: list[_RootSlot],
         n_roots: int,
-        whole: bool,
+        ships_whole: bool,
     ):
         self.index = index
         self.unit = unit
         self.slots = slots
         self.n_roots = n_roots
-        self.whole = whole
+        self.ships_whole = ships_whole
         self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
         #: Highest root position already settled as a non-proof (-1:
@@ -689,8 +692,7 @@ def run_campaign(
 
     Units of a campaign with at least as many units as the backend has
     capacity ship as whole-unit shards (one ``verify`` per unit on a
-    worker) unless one would hold more than ``1/capacity`` of the
-    predicted cost or opts into ``shared_visited``; see "Whole-unit
+    worker) unless they opt into ``shared_visited``; see "Whole-unit
     dispatch" in the module docstring.  ``subroot`` controls sharding
     of the remaining units *below* the root: ``"auto"`` splits a unit's
     roots into per-first-choice subtrees when the unit has fewer roots
@@ -846,7 +848,6 @@ def _predicted_states(
 def _whole_units(
     units: Sequence[CampaignUnit],
     unit_roots: Sequence[list],
-    costs: Sequence[int],
     capacity: int,
     subroot: str,
 ) -> list[bool]:
@@ -854,17 +855,14 @@ def _whole_units(
 
     A campaign with at least ``capacity`` units fills the backend at
     unit granularity, so a unit ships whole unless ``subroot="always"``
-    forces splitting, it opts into ``shared_visited``, or its predicted
-    cost exceeds ``1/capacity`` of the campaign's: such a unit would be
-    the campaign's long pole, and root or sub-root shards spread it.
-    Root-less units settle in-process without a shard either way.
+    forces splitting or it opts into ``shared_visited``.  Root-less
+    units settle in-process without a shard either way.
     """
     if len(units) < capacity or subroot == "always":
         return [False] * len(units)
-    total = sum(costs)
     return [
-        bool(roots) and not unit.task.shared_visited and cost * capacity <= total
-        for unit, roots, cost in zip(units, unit_roots, costs)
+        bool(roots) and not unit.task.shared_visited
+        for unit, roots in zip(units, unit_roots)
     ]
 
 
@@ -903,7 +901,7 @@ def _run_sharded(
         _predicted_states(unit.task, len(roots), model)
         for unit, roots, model in zip(units, unit_roots, models)
     ]
-    whole = _whole_units(units, unit_roots, unit_costs, capacity, subroot)
+    whole = _whole_units(units, unit_roots, capacity, subroot)
     states: list[_UnitState] = []
     split: list[bool] = []
     for index, unit in enumerate(units):
@@ -1034,7 +1032,7 @@ def _run_sharded(
         # count instead.
         tags = (
             {"root": None, "roots": state.n_roots}
-            if state.whole
+            if state.ships_whole
             else {"root": root_pos}
         )
         obs.event(
@@ -1107,7 +1105,7 @@ def _run_sharded(
                         None,
                         predicted=(
                             unit_costs[state.index]
-                            if state.whole
+                            if state.ships_whole
                             else _predicted_states(
                                 slot.subtask, 1, models[state.index]
                             )
@@ -1179,20 +1177,21 @@ def _run_sharded(
                 )
             submitted.pop(ticket, None)
             predicted = predictions.pop(ticket, None)
-            if (
-                predicted
-                and isinstance(outcome, Outcome)
-                and not outcome.timed_out
-            ):
-                # Engine-level series: measured throughput over time and
-                # the batch grain error -- measured states against the
+            measured = isinstance(outcome, Outcome) and not outcome.timed_out
+            if measured and outcome.elapsed > 0 and outcome.stats.states > 0:
+                # Engine-level series: measured throughput over time.
+                registry.time_series("campaign.states_per_s").add(
+                    clock.monotonic(), outcome.stats.states / outcome.elapsed
+                )
+            # A whole unit stops at its first non-proof root, so only a
+            # proof measures the every-root prediction it carries.
+            if measured and "roots" in tags and outcome.kind != PROVED:
+                predicted = None
+            if predicted and measured:
+                # The batch grain error -- measured states against the
                 # EWMA-corrected prediction the batch was sized with
                 # (observed *before* this sample moves the correction).
                 if outcome.elapsed > 0 and outcome.stats.states > 0:
-                    registry.time_series("campaign.states_per_s").add(
-                        clock.monotonic(),
-                        outcome.stats.states / outcome.elapsed,
-                    )
                     corrected = _CALIBRATION.corrected(predicted)
                     if corrected > 0:
                         registry.histogram(

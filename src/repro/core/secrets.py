@@ -69,19 +69,10 @@ def secret_memory_pairs(
                 pairs.append(
                     ((f"{image_a}", public + image_a), (f"{image_b}", public + image_b))
                 )
-    # ``Root`` is a frozen dataclass without ``__post_init__``; filling a
-    # bare instance field by field builds the same object without the
-    # generated ``__init__``'s per-field indirection, which dominated.
-    new = object.__new__
-    set_field = object.__setattr__
-    roots = []
-    append = roots.append
-    for (label_a, memory_a), (label_b, memory_b) in pairs:
-        root = new(Root)
-        set_field(root, "label", "sec" + label_a + "-vs-" + label_b)
-        set_field(root, "dmem_pair", (memory_a, memory_b))
-        append(root)
-    return roots
+    return [
+        Root("sec" + label_a + "-vs-" + label_b, (memory_a, memory_b))
+        for (label_a, memory_a), (label_b, memory_b) in pairs
+    ]
 
 
 def with_mirrored_roots(roots: list[Root]) -> list[Root]:

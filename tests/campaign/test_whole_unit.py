@@ -1,14 +1,13 @@
 """Whole-unit dispatch: a wide grid ships each unit as one shard.
 
 A campaign with at least ``capacity`` units fills the backend at unit
-granularity, so each unit whose predicted cost is at most ``1/capacity``
-of the campaign's ships as one whole-unit shard -- ``verify(task)`` on
-a worker, the serial path itself.  Covered here:
+granularity, so each unit ships as one whole-unit shard --
+``verify(task)`` on a worker, the serial path itself.  Covered here:
 
 - a multi-unit mini grid is bit-identical to the serial path on the
   serial, process and socket backends, with one shard per unit;
-- a cost-dominant unit still shards by root while its small siblings
-  ship whole;
+- a cost-dominant unit with fewer units than slots still shards by
+  root, and ships whole once it has enough siblings;
 - a zero budget still times every unit out;
 - whole-unit shards are tagged ``root=None`` / ``roots=<n>`` and the
   trace report's work-efficiency section reads them.
@@ -32,6 +31,7 @@ from repro.core.verifier import VerificationTask
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
+from repro.obs import metrics
 from repro.obs.report import format_work_efficiency
 from repro.obs.sinks import read_trace, write_jsonl
 from repro.uarch.config import Defense
@@ -111,32 +111,50 @@ def test_whole_units_are_bit_identical_across_backends(grid, socket_backend):
         assert results[0].telemetry.shards == len(units), label
 
 
-def test_a_cost_dominant_unit_still_shards_by_root():
-    """Six roots against two one-root siblings: the big unit holds 6/8 of
-    the predicted cost (> 1/2), so it root-shards; the siblings ship
-    whole.  Merged outcomes still equal the serial path."""
+def test_a_lone_dominant_unit_still_shards_by_root():
+    """One six-root unit on two slots -- fewer units than slots -- shards
+    by root; beside two one-root siblings it fills the slots at unit
+    granularity and ships whole with them.  Both merge like serial."""
     big = _task(Defense.DELAY_FUTURISTIC)
     roots = big.build_roots()
     assert len(roots) == 6
-    units = [
-        CampaignUnit("t", ("big",), big),
+    alone = [CampaignUnit("t", ("big",), big)]
+    with obs.tracing() as rec:
+        results = run_campaign(alone, backend=_TwoSlotSerial())
+    _assert_bit_identical(run_campaign(alone, n_workers=1), results, "alone")
+    assert results[0].telemetry.shards == len(roots)
+    submits = _events(rec, "shard.submit")
+    assert sorted(a["root"] for a in submits) == list(range(len(roots)))
+    assert all("roots" not in a for a in submits)
+
+    grid = alone + [
         CampaignUnit("t", ("first",), replace(big, roots=roots[:1])),
         CampaignUnit("t", ("last",), replace(big, roots=roots[-1:])),
     ]
-    serial_path = run_campaign(units, n_workers=1)
     with obs.tracing() as rec:
-        results = run_campaign(units, backend=_TwoSlotSerial())
-    _assert_bit_identical(serial_path, results, "two-slot serial")
-    assert results[0].telemetry.shards == len(roots) + 2
-    submits = _events(rec, "shard.submit")
-    by_unit: dict[str, list[dict]] = {}
-    for attrs in submits:
-        by_unit.setdefault(attrs["unit"], []).append(attrs)
-    assert sorted(a["root"] for a in by_unit["big"]) == list(range(len(roots)))
-    assert all("roots" not in a for a in by_unit["big"])
-    for key in ("first", "last"):
-        [attrs] = by_unit[key]
-        assert attrs["root"] is None and attrs["roots"] == 1
+        results = run_campaign(grid, backend=_TwoSlotSerial())
+    _assert_bit_identical(run_campaign(grid, n_workers=1), results, "grid")
+    assert results[0].telemetry.shards == len(grid)
+    tags = {a["unit"]: (a["root"], a["roots"]) for a in _events(rec, "shard.submit")}
+    assert tags == {"big": (None, 6), "first": (None, 1), "last": (None, 1)}
+
+
+def test_only_whole_unit_proofs_calibrate_the_cost_model(monkeypatch):
+    """A whole unit stops at its first non-proof root, so an attack's
+    states say nothing about its every-root prediction: only proofs
+    feed the calibration, while the throughput series sees every unit."""
+    monkeypatch.setattr(scheduler, "_CALIBRATION", scheduler._Calibration())
+    attack = _task(Defense.NONE)
+    units = [CampaignUnit("t", (str(i),), attack) for i in range(2)]
+    results = run_campaign(units, backend=_TwoSlotSerial())
+    assert [r.outcome.kind for r in results] == ["attack", "attack"]
+    assert results[0].telemetry.shards == len(units)
+    assert scheduler._CALIBRATION.samples == 0
+    assert metrics.LAST_REGISTRY.time_series("campaign.states_per_s").points
+    units = GRIDS["fig2-mini"]()
+    results = run_campaign(units, backend=_TwoSlotSerial())
+    assert all(r.outcome.kind == "proved" for r in results)
+    assert scheduler._CALIBRATION.samples == len(units)
 
 
 def test_subroot_always_never_ships_whole():
@@ -221,17 +239,16 @@ def test_work_efficiency_charges_cancelled_and_discarded_seconds():
     assert format_work_efficiency([]).endswith("no shard.done events")
 
 
-def test_whole_unit_rule_follows_the_cost_share():
+def test_whole_unit_rule():
     units = [CampaignUnit("t", (str(i),), _task(Defense.NONE)) for i in range(3)]
     roots = [[object()]] * 3
     rule = scheduler._whole_units
-    assert rule(units, roots, [1, 1, 1], 2, "auto") == [True] * 3
-    assert rule(units, roots, [1, 1, 1], 2, "never") == [True] * 3
-    assert rule(units, roots, [1, 1, 1], 2, "always") == [False] * 3
+    assert rule(units, roots, 2, "auto") == [True] * 3
+    assert rule(units, roots, 3, "never") == [True] * 3
+    assert rule(units, roots, 2, "always") == [False] * 3
     # Fewer units than capacity: root and sub-root planning as before.
-    assert rule(units, roots, [1, 1, 1], 4, "auto") == [False] * 3
-    # Exactly 1/capacity of the cost still ships whole; more does not.
-    assert rule(units, roots, [2, 1, 1], 2, "auto") == [True] * 3
-    assert rule(units, roots, [3, 1, 1], 2, "auto") == [False, True, True]
-    # Root-less units settle in-process.
-    assert rule(units, [[]] + roots[1:], [1, 1, 1], 2, "auto") == [False, True, True]
+    assert rule(units, roots, 4, "auto") == [False] * 3
+    # Root-less units settle in-process; shared_visited units split.
+    assert rule(units, [[]] + roots[1:], 2, "auto") == [False, True, True]
+    shared = units[:2] + [replace(units[2], task=replace(units[2].task, shared_visited=True))]
+    assert rule(shared, roots, 2, "auto") == [True, True, False]
